@@ -15,17 +15,17 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from . import __version__
+from . import __version__, sampling
 from .core import Tournament, read_trn1, semidegrees, write_trn1
 from .errors import (BadConfig, BadParams, DiagonalNonzero, EmptyPart,
                      InvalidCertificate, PairViolation, SubsetOutOfRange,
                      TooLarge, Trn1ParseError)
-from .generators import ExtremalSpec
+from .generators import FAMILIES, ExtremalSpec
 from .hamilton import HamiltonCertificate, check_certificate, is_hamiltonian
 from .sampling import (SamplePlan, estimate_hamiltonian_probability,
-                       exact_hamiltonian_probability, theoretical_bound)
+                       theoretical_bound)
 from .structure import (balanced_cut_search, clean_to_good_partition,
                         default_connector_k, k_connectors, max_BA_matching,
                         refine_partition)
@@ -66,9 +66,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {"p_values", "t", "trials", "master_seed", "family", "params",
-                 "seed", "tournament_path", "output_path"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise BadConfig(f"unknown config fields: {sorted(unknown)}")
         if "p_values" not in data:
@@ -76,12 +74,7 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_json_dict(self) -> dict:
-        return {
-            "p_values": self.p_values, "t": self.t, "trials": self.trials,
-            "master_seed": self.master_seed, "family": self.family,
-            "params": self.params, "seed": self.seed,
-            "tournament_path": self.tournament_path, "output_path": self.output_path,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def load_tournament(self) -> Tournament:
         if self.tournament_path is not None:
@@ -112,12 +105,21 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> dict:
     }
 
 
+def _write_json(payload: dict, path: str | None) -> None:
+    """Indented, key-sorted JSON with a final newline, to ``path`` or stdout."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    else:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
+
+
 def write_sweep_report(report: dict, base_path: str) -> tuple[str, str]:
     json_path = base_path + ".json"
     csv_path = base_path + ".csv"
-    with open(json_path, "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, json_path)
     with open(csv_path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p", "estimate", "ci_low", "ci_high", "bound", "gap"])
@@ -148,6 +150,8 @@ def _cmd_estimate(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="ascii") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise BadConfig("config must be a JSON object")
     else:
         data = {"p_values": []}
     if args.p:
@@ -170,24 +174,20 @@ def _cmd_estimate(args) -> int:
         json_path, csv_path = write_sweep_report(report, config.output_path)
         print(f"wrote {json_path} and {csv_path}")
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _write_json(report, None)
     return EXIT_OK
 
 
 def _cmd_exact(args) -> int:
+    for p in args.p:
+        sampling.check_probability(p)
     T = read_trn1(args.file)
-    rows = [{"p": p, "probability": exact_hamiltonian_probability(T, p)}
+    counts = sampling.hamiltonian_subset_size_counts(T)
+    rows = [{"p": p, "probability": sampling.probability_from_counts(counts, p)}
             for p in args.p]
-    payload = {"artifact_version": __version__, "n": T.n, "rows": rows}
+    _write_json({"artifact_version": __version__, "n": T.n, "rows": rows}, args.out)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
         print(f"wrote {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
     return EXIT_OK
 
 
@@ -220,14 +220,9 @@ def _cmd_analyze(args) -> int:
         result["branch"] = "no almost-directed cut"
     else:
         result["branch"] = "inconclusive"
+    _write_json(result, args.out)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
         print(f"wrote {args.out}")
-    else:
-        json.dump(result, sys.stdout, indent=2, sort_keys=True)
-        print()
     return EXIT_OK
 
 
@@ -260,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a tournament family into a TRN1 file")
-    p_gen.add_argument("family", choices=["rotational", "near-regular", "transitive",
-                                          "random", "theorem1-even", "theorem1-odd", "main"])
+    p_gen.add_argument("family", choices=FAMILIES)
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--m", type=int)
     p_gen.add_argument("--n", type=int)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import mask_of, rows_to_masks
+from ._bits import iter_bits, mask_of, rows_to_masks
 from .errors import DiagonalNonzero, PairViolation, SubsetOutOfRange, Trn1ParseError
 
 MAX_VERTICES = 1 << 16
@@ -139,7 +139,7 @@ class VertexSubset:
     def from_mask(cls, universe_n: int, mask: int) -> "VertexSubset":
         if mask < 0 or mask >> universe_n:
             raise SubsetOutOfRange(f"mask has bits outside universe {universe_n}")
-        return cls(universe_n, [v for v in range(universe_n) if mask >> v & 1])
+        return cls(universe_n, iter_bits(mask))
 
     @property
     def mask(self) -> int:
@@ -210,9 +210,11 @@ def induced(T: Tournament, S: VertexSubset) -> Tournament:
 # n characters '0'/'1'. No trailing garbage is allowed.
 
 def format_trn1(T: Tournament) -> str:
-    rows = ["TRN1 %d" % T.n]
-    rows.extend("".join("1" if x else "0" for x in row) for row in T.adj)
-    return "\n".join(rows) + "\n"
+    n = T.n
+    cells = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
+    cells[:, :n] = T.adj != 0
+    cells[:, :n] += ord("0")
+    return f"TRN1 {n}\n" + cells.tobytes().decode("ascii")
 
 
 def parse_trn1(text: str) -> Tournament:
@@ -239,21 +241,26 @@ def parse_trn1(text: str) -> Tournament:
         raise Trn1ParseError(len(lines) + 1, f"expected {n} matrix rows, found {len(lines) - 1}")
     if len(lines) > n + 1:
         raise Trn1ParseError(n + 2, "trailing garbage after matrix rows")
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n):
-        row = lines[i + 1]
-        if len(row) != n:
-            raise Trn1ParseError(i + 2, f"row has {len(row)} characters, expected {n}")
-        for j, ch in enumerate(row):
-            if ch == "1":
-                adj[i, j] = 1
-            elif ch != "0":
-                raise Trn1ParseError(i + 2, f"invalid character {ch!r} at column {j}")
-    return Tournament(adj)
+    rows = lines[1:]
+    # Rows before the first one of the wrong length are checked cell by
+    # cell first, so the first error in file order is the one reported.
+    good = next((i for i, row in enumerate(rows) if len(row) != n), n)
+    # "replace" turns each non-ASCII character into one invalid '?' cell.
+    cells = np.frombuffer("".join(rows[:good]).encode("ascii", "replace"),
+                          dtype=np.uint8) - ord("0")
+    bad = np.flatnonzero(cells > 1)
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        raise Trn1ParseError(i + 2, f"invalid character {rows[i][j]!r} at column {j}")
+    if good < n:
+        raise Trn1ParseError(good + 2, f"row has {len(rows[good])} characters, expected {n}")
+    return Tournament(cells.reshape(n, n))
 
 
 def read_trn1(path) -> Tournament:
-    with open(path, "r", encoding="ascii") as fh:
+    # A non-ASCII byte decodes to a lone surrogate, which the parser then
+    # reports as an invalid character on its line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return parse_trn1(fh.read())
 
 

@@ -46,13 +46,12 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament(adj, _trusted=True)
 
 
-def near_regular_tournament(m: int, seed: int | None = None) -> Tournament:
+def near_regular_tournament(m: int) -> Tournament:
     """Tournament on m vertices with min_semidegree = floor((m-1)/2).
 
     Odd m: rotational. Even m: rotational on m-1 vertices plus one apex
     with out-edges to the first ceil((m-1)/2) of them and in-edges from
-    the rest. The seed parameter is reserved; the construction is
-    deterministic.
+    the rest.
     """
     if m < 1:
         raise BadParams(f"near-regular tournament needs m >= 1, got {m}")
@@ -120,12 +119,12 @@ def extremal_main_blocks(n: int, t: int) -> tuple[range, range, range]:
     return range(0, a), range(a, a + b), range(a + b, n)
 
 
-def extremal_main(n: int, t: int, seed: int | None = None) -> Tournament:
+def extremal_main(n: int, t: int) -> Tournament:
     """Cyclic block construction A -> B -> X -> A with |X| = t.
 
     Near-regular tournaments fill A and B, a transitive one fills X, and
     min_semidegree >= floor((n-t-2)/4) + t (attained by A's in-degrees).
-    Every B -> A edge is absent. Seed reserved; deterministic.
+    Every B -> A edge is absent.
     """
     ra, rb, rx = extremal_main_blocks(n, t)
     adj = np.zeros((n, n), dtype=np.uint8)
@@ -138,8 +137,8 @@ def extremal_main(n: int, t: int, seed: int | None = None) -> Tournament:
     return Tournament(adj, _trusted=True)
 
 
-_FAMILIES = ("rotational", "near-regular", "transitive", "random",
-             "theorem1-even", "theorem1-odd", "main")
+FAMILIES = ("rotational", "near-regular", "transitive", "random",
+            "theorem1-even", "theorem1-odd", "main")
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ class ExtremalSpec:
             if self.family == "rotational":
                 return rotational_tournament(int(p["k"]))
             if self.family == "near-regular":
-                return near_regular_tournament(int(p["m"]), self.seed)
+                return near_regular_tournament(int(p["m"]))
             if self.family == "transitive":
                 return transitive_tournament(int(p["n"]))
             if self.family == "random":
@@ -168,9 +167,9 @@ class ExtremalSpec:
             if self.family == "theorem1-odd":
                 return extremal_theorem1_odd(int(p["k"]))
             if self.family == "main":
-                return extremal_main(int(p["n"]), int(p["t"]), self.seed)
+                return extremal_main(int(p["n"]), int(p["t"]))
         except KeyError as exc:
             raise BadParams(f"family {self.family!r} missing parameter {exc}") from None
         except (TypeError, ValueError) as exc:
             raise BadParams(f"family {self.family!r}: bad parameter value ({exc})") from None
-        raise BadParams(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        raise BadParams(f"unknown family {self.family!r}; choose from {FAMILIES}")

@@ -9,7 +9,8 @@ purpose:
   (visited-subset, endpoint) states, the trust anchor for small n;
 * ``hamiltonian_batch`` — vectorized score-sequence test (a tournament is
   strong iff every proper prefix sum of its sorted score sequence strictly
-  exceeds k(k-1)/2, Moon/Landau), used by the Monte Carlo estimator.
+  exceeds k(k-1)/2, Moon/Landau), used by the Monte Carlo estimator;
+  ``scc`` cuts the sorted score sequence where that prefix sum is equal.
 
 They are cross-checked against each other in the test suite; certificates
 are validated edge-by-edge, so the constructive algorithm never has to be
@@ -19,7 +20,6 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -46,7 +46,10 @@ class HamiltonCertificate:
     @classmethod
     def from_text(cls, text: str) -> "HamiltonCertificate":
         parts = [p.strip() for p in text.strip().split(",") if p.strip() != ""]
-        return cls(tuple(int(p) for p in parts))
+        try:
+            return cls(tuple(int(p) for p in parts))
+        except ValueError:
+            raise InvalidCertificate(0, "certificate token is not a vertex index") from None
 
 
 def check_certificate(T: Tournament, cert: HamiltonCertificate) -> None:
@@ -121,8 +124,9 @@ def is_hamiltonian(T: Tournament) -> bool:
 class SccDecomposition:
     """Strongly connected components with the condensation's (unique) order.
 
-    ``topological_order`` lists component ids source-first: every edge
-    between distinct components goes from the earlier to the later one.
+    Component ids are numbered source-first: every edge between distinct
+    components goes from the lower id to the higher one, so
+    ``topological_order`` is always ``(0, 1, ..., component_count - 1)``.
     """
 
     component_of: tuple[int, ...]
@@ -131,66 +135,22 @@ class SccDecomposition:
 
 
 def scc(T: Tournament) -> SccDecomposition:
-    """Iterative Tarjan decomposition (no recursion depth in n)."""
+    """Components from the score sequence (Landau 1953), source-first.
+
+    A set of k vertices dominates the other n-k iff its scores sum to
+    k(k-1)/2 + k(n-k), the most any k vertices can score; such a set is
+    exactly the k highest scorers. The components are therefore the runs
+    of the descending score order between those tie points.
+    """
     n = T.n
-    out = T.out_masks
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    stack: list[int] = []
-    comp_of = [-1] * n
-    counter = 0
-    comp_count = 0
-    full = (1 << n) - 1
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter_bits(out[root] & full))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = 1
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = 1
-                    work.append((w, iter_bits(out[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp_of[w] = comp_count
-                    if w == v:
-                        break
-                comp_count += 1
-
-    # The condensation of a tournament is a transitive tournament, so any
-    # single cross edge between two components decides their order.
-    reps = [0] * comp_count
-    for v in range(n - 1, -1, -1):
-        reps[comp_of[v]] = v
-    adj = T.adj
-    order = sorted(range(comp_count),
-                   key=cmp_to_key(lambda a, b: -1 if adj[reps[a], reps[b]] else 1))
-    return SccDecomposition(tuple(comp_of), comp_count, tuple(order))
+    scores = T.out_degrees()
+    order = np.argsort(-scores, kind="stable")
+    k = np.arange(1, n + 1, dtype=np.int64)
+    cut = np.cumsum(scores[order]) == k * (k - 1) // 2 + k * (n - k)
+    component_of = np.empty(n, dtype=np.int64)
+    component_of[order] = np.cumsum(cut) - cut
+    count = int(cut.sum())
+    return SccDecomposition(tuple(component_of.tolist()), count, tuple(range(count)))
 
 
 def hamilton_cycle(T: Tournament) -> HamiltonCertificate | None:

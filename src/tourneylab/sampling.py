@@ -31,6 +31,12 @@ Z95 = 1.959963984540054
 Z997 = 2.9677379253417944
 
 
+def check_probability(p: float) -> None:
+    """Raise BadParams unless p is an inclusion probability in (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise BadParams(f"inclusion probability must be in (0,1), got {p}")
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Inclusion probability, trial count, and the 64-bit master seed."""
@@ -40,8 +46,7 @@ class SamplePlan:
     master_seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise BadParams(f"inclusion probability must be in (0,1), got {self.p}")
+        check_probability(self.p)
         if self.trials < 1:
             raise BadParams(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 1 << 64:
@@ -100,8 +105,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 def sample_subset(n: int, p: float, rng: Generator) -> VertexSubset:
     """One p-biased subset of 0..n-1 drawn from the given generator."""
-    if not 0.0 < p < 1.0:
-        raise BadParams(f"inclusion probability must be in (0,1), got {p}")
+    check_probability(p)
     keep = rng.random(n) < p
     return VertexSubset(n, np.flatnonzero(keep))
 
@@ -192,13 +196,18 @@ def hamiltonian_subset_size_counts(T: Tournament) -> np.ndarray:
     return counts
 
 
+def probability_from_counts(counts: np.ndarray, p: float) -> float:
+    """Sum of c_s p^s (1-p)^(n-s) over the size counts of
+    hamiltonian_subset_size_counts, so one enumeration serves every p."""
+    check_probability(p)
+    n = len(counts) - 1
+    return float(sum(counts[s] * p**s * (1 - p) ** (n - s) for s in range(n + 1)))
+
+
 def exact_hamiltonian_probability(T: Tournament, p: float) -> float:
     """Sum of p^|S| (1-p)^(n-|S|) over all Hamiltonian-inducing subsets (n <= 20)."""
-    if not 0.0 < p < 1.0:
-        raise BadParams(f"inclusion probability must be in (0,1), got {p}")
-    counts = hamiltonian_subset_size_counts(T)
-    n = T.n
-    return float(sum(counts[s] * p**s * (1 - p) ** (n - s) for s in range(n + 1)))
+    check_probability(p)
+    return probability_from_counts(hamiltonian_subset_size_counts(T), p)
 
 
 def uniform_subset_probability(T: Tournament) -> float:
@@ -211,8 +220,7 @@ def theoretical_bound(n: int, t: int, p: float) -> BoundSpec:
     minimum semidegree; exponent improves to t+1 when n - t = 1 mod 4."""
     if t < 1:
         raise BadParams(f"t must be >= 1, got {t}")
-    if not 0.0 < p < 1.0:
-        raise BadParams(f"inclusion probability must be in (0,1), got {p}")
+    check_probability(p)
     improved = (n - t) % 4 == 1
     expo = t + 1 if improved else t
     return BoundSpec(n=n, t=t, p=p, bound_value=1.0 - (1.0 - p) ** expo, improved=improved)

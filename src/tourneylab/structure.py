@@ -389,10 +389,8 @@ def max_BA_matching(T: Tournament, P: Partition) -> MatchingCover:
     b_list = list(P.B.members)
     a_list = list(P.A.members)
     nb, na = len(b_list), len(a_list)
-    adj = T.adj
-    nbrs: list[list[int]] = [
-        [j for j in range(na) if adj[b_list[i], a_list[j]]] for i in range(nb)
-    ]
+    beats = T.adj[np.ix_(b_list, a_list)]
+    nbrs: list[list[int]] = [np.flatnonzero(row).tolist() for row in beats]
     match_b = [-1] * nb
     match_a = [-1] * na
 

@@ -65,6 +65,33 @@ def tournament_from_bits(n: int, code: int) -> Tournament:
     return Tournament(adj, _trusted=True)
 
 
+def planted_blocks(seed: int) -> Tournament:
+    """Strong random blocks of sizes 1 or >= 3 on a transitive skeleton
+    (every edge between blocks points from the earlier block to the later),
+    with the vertex labels permuted, on at most 299 vertices. Each block of
+    size >= 3 gets a forced Hamilton cycle, so the blocks are exactly the
+    strong components."""
+    rng = np.random.default_rng(seed)
+    sizes: list[int] = []
+    while sum(sizes) < 260 and (len(sizes) < 2 or rng.random() > 0.2):
+        sizes.append(int(rng.choice([1, 3, 4, 7, 12, 25, 40])))
+    n = sum(sizes)
+    adj = np.triu(np.ones((n, n), dtype=np.uint8), 1)
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        if size >= 3:
+            upper = np.triu(rng.integers(0, 2, (size, size), dtype=np.uint8), 1)
+            inner = upper + np.tril(1 - upper.T, -1)
+            cycle = np.arange(size)
+            inner[cycle, np.roll(cycle, -1)] = 1
+            inner[np.roll(cycle, -1), cycle] = 0
+            adj[block, block] = inner
+        start += size
+    perm = rng.permutation(n)
+    return Tournament(adj[np.ix_(perm, perm)])
+
+
 @pytest.fixture(scope="session")
 def triangle() -> Tournament:
     return Tournament(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.uint8))

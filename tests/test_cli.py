@@ -113,6 +113,11 @@ class TestEstimate:
     def test_missing_config_file(self, tmp_path):
         assert main(["estimate", "--config", str(tmp_path / "none.json")]) == EXIT_IO
 
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", "[1, 2]")
+        assert main(["estimate", "--config", cfg, "--p", "0.5"]) == EXIT_BAD_PARAMS
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_file_without_config(self, tmp_path, capsys):
         trn = tmp_path / "t.trn"
         main(["gen", "rotational", "--k", "5", "--out", str(trn)])
@@ -127,9 +132,9 @@ class TestEstimate:
 class TestExact:
     def test_triangle(self, tmp_path, capsys):
         trn = write(tmp_path / "tri.trn", TRIANGLE_TRN1)
-        assert main(["exact", "--file", trn, "--p", "0.5"]) == EXIT_OK
+        assert main(["exact", "--file", trn, "--p", "0.5", "--p", "0.25"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rows"][0]["probability"] == pytest.approx(0.125)
+        assert [r["probability"] for r in payload["rows"]] == pytest.approx([0.125, 0.015625])
 
     def test_too_large(self, tmp_path):
         out = tmp_path / "big.trn"
@@ -176,6 +181,12 @@ class TestAnalyze:
         assert main(["analyze", "--file", trn]) == EXIT_PARSE
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_ascii_file_names_line(self, tmp_path, capsys):
+        trn = tmp_path / "bad.trn"
+        trn.write_bytes(b"TRN1 3\n010\n01\xc3\xa9\n100\n")
+        assert main(["analyze", "--file", str(trn)]) == EXIT_PARSE
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_good_certificate(self, tmp_path, capsys):
@@ -189,6 +200,12 @@ class TestVerify:
         cert = write(tmp_path / "c.txt", "0,2,1\n")
         assert main(["verify", "--file", trn, "--certificate", cert]) == EXIT_CERTIFICATE
         assert "position 0" in capsys.readouterr().out
+
+    def test_non_integer_token(self, tmp_path, capsys):
+        trn = write(tmp_path / "tri.trn", TRIANGLE_TRN1)
+        cert = write(tmp_path / "c.txt", "0,x,2\n")
+        assert main(["verify", "--file", trn, "--certificate", cert]) == EXIT_CERTIFICATE
+        assert "vertex index" in capsys.readouterr().err
 
     def test_generated_cycle_round_trips(self, tmp_path):
         trn = tmp_path / "rot.trn"

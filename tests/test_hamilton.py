@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from conftest import (bfs_reachable, strongly_connected_by_bfs,
-                      tournament_from_bits)
+from conftest import (bfs_reachable, planted_blocks,
+                      strongly_connected_by_bfs, tournament_from_bits)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,30 +49,35 @@ class TestScc:
 
     def test_components_match_mutual_reachability(self):
         rng = np.random.default_rng(88)
-        everyone_cache = {}
-        for _ in range(30):
-            n = int(rng.integers(2, 25))
-            T = random_tournament(n, int(rng.integers(0, 2**31)))
+        inputs = [random_tournament(int(rng.integers(2, 25)), int(rng.integers(0, 2**31)))
+                  for _ in range(30)]
+        # random tournaments this small are nearly always strong; planted
+        # blocks give many components and n up to ~300
+        inputs += [planted_blocks(seed) for seed in range(8)]
+        for T in inputs:
             d = scc(T)
-            everyone = everyone_cache.setdefault(n, set(range(n)))
-            for v in range(n):
-                mutual = {w for w in bfs_reachable(T, v, everyone)
-                          if v in bfs_reachable(T, w, everyone)}
-                assert mutual == {w for w in range(n)
-                                  if d.component_of[w] == d.component_of[v]}
+            everyone = set(range(T.n))
+            backward = Tournament(T.adj.T)
+            # each claimed component must be the mutual-reachability class
+            # of one of its members; the components cover every vertex
+            for c in set(d.component_of):
+                members = {v for v in range(T.n) if d.component_of[v] == c}
+                v = min(members)
+                mutual = bfs_reachable(T, v, everyone) & bfs_reachable(backward, v, everyone)
+                assert mutual == members
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 9), st.integers(0, 2**36 - 1))
-    def test_condensation_is_transitive(self, n, code):
-        T = tournament_from_bits(n, code % 2 ** (n * (n - 1) // 2))
+    @given(st.one_of(
+        st.integers(1, 9).flatmap(lambda n: st.integers(0, 2 ** (n * (n - 1) // 2) - 1)
+                                  .map(lambda code: tournament_from_bits(n, code))),
+        st.integers(0, 2**32 - 1).map(planted_blocks)))
+    def test_condensation_is_transitive(self, T):
         d = scc(T)
         rank = {c: i for i, c in enumerate(d.topological_order)}
         assert sorted(rank) == list(range(d.component_count))
-        for u in range(n):
-            for v in range(n):
-                cu, cv = d.component_of[u], d.component_of[v]
-                if cu != cv and T.adj[u, v]:
-                    assert rank[cu] < rank[cv]
+        r = np.array([rank[c] for c in d.component_of])
+        cross = T.adj.astype(bool) & (r[:, None] != r[None, :])
+        assert (r[:, None] < r[None, :])[cross].all()
 
 
 class TestIsHamiltonian:
