@@ -21,10 +21,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bits_list(mask: int) -> list[int]:
-    return list(iter_bits(mask))
-
-
 def rows_to_masks(adj: np.ndarray) -> list[int]:
     """Convert the rows of a 0/1 matrix to per-row bitsets (bit j = column j)."""
     packed = np.packbits(adj, axis=1, bitorder="little")

@@ -52,6 +52,23 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        # JSON can put any type in any field: a float seed would reach the
+        # Philox key truncated, an int path would open() a file descriptor.
+        # A bool p passes the type check and fails the (0,1) range check.
+        if not (isinstance(self.p_values, list)
+                and all(isinstance(p, (int, float)) for p in self.p_values)):
+            raise BadConfig(f"p_values must be a list of numbers, got {self.p_values!r}")
+        for name in ("t", "trials", "master_seed", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, int)) and not (
+                    name == "seed" and value is None):
+                raise BadConfig(f"{name} must be an integer, got {value!r}")
+        for name in ("family", "tournament_path", "output_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise BadConfig(f"{name} must be a string, got {value!r}")
+        if not isinstance(self.params, dict):
+            raise BadConfig(f"params must be an object, got {self.params!r}")
         if not self.p_values:
             raise BadConfig("config needs at least one p value")
         for p in self.p_values:
@@ -194,7 +211,7 @@ def _cmd_exact(args) -> int:
 def _cmd_analyze(args) -> int:
     T = read_trn1(args.file)
     k = args.k if args.k is not None else default_connector_k(args.p, args.t, args.sigma)
-    cut = balanced_cut_search(T, effort=args.effort)
+    cut = balanced_cut_search(T)
     result: dict = {
         "artifact_version": __version__,
         "n": T.n,
@@ -216,10 +233,8 @@ def _cmd_analyze(args) -> int:
         result["connectors"] = list(conns.members)
         result["connector_count"] = len(conns)
         result["matching"] = mc.to_json_dict()
-    elif cut.method == "exact":
-        result["branch"] = "no almost-directed cut"
     else:
-        result["branch"] = "inconclusive"
+        result["branch"] = "no almost-directed cut"
     _write_json(result, args.out)
     if args.out:
         print(f"wrote {args.out}")
@@ -287,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--t", type=int, default=1)
     p_an.add_argument("--p", type=float, default=0.5)
     p_an.add_argument("--sigma", type=float, default=0.01)
-    p_an.add_argument("--effort", type=int, default=8)
     p_an.add_argument("--out")
     p_an.set_defaults(func=_cmd_analyze)
 

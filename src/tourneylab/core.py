@@ -92,12 +92,10 @@ def _check_invariants(a: np.ndarray) -> None:
     bad = np.flatnonzero(np.diagonal(a))
     if bad.size:
         raise DiagonalNonzero(int(bad[0]))
-    s = a + a.T
-    iu = np.triu_indices(a.shape[0], 1)
-    viol = np.flatnonzero(s[iu] != 1)
+    viol = np.flatnonzero(np.triu(a + a.T != 1, 1))
     if viol.size:
-        k = int(viol[0])
-        raise PairViolation(int(iu[0][k]), int(iu[1][k]))
+        i, j = divmod(int(viol[0]), a.shape[0])
+        raise PairViolation(i, j)
 
 
 def validate(raw_matrix) -> Tournament:

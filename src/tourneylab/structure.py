@@ -6,14 +6,15 @@ Everything operates on a three-part partition V(T) = A + B + X. The
 dichotomy driving the analysis CLI: either no balanced bipartition is
 almost-directed (dense both ways, nothing to do), or one is, in which
 case it cleans to a good partition whose B->A traffic is carried by
-either many connectors or a large matching.
+either many connectors or a large matching. The cut search decides
+which side holds exactly, at every n, from the score sequence: the
+densest balanced cut puts the highest scorers in A.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -21,8 +22,6 @@ import numpy as np
 from .core import Tournament, VertexSubset, edge_count
 from .errors import BadParams, EmptyPart
 from .hamilton import hamiltonian_on_subset, reach_on_mask
-
-EXACT_CUT_MAX_N = 20
 
 
 class Partition:
@@ -91,16 +90,15 @@ class GoodnessReport:
 
 @dataclass(frozen=True)
 class CutResult:
-    """Best directed balanced bipartition found, with how it was found."""
+    """Max-density balanced directed bipartition and its density e(A,B)/(|A||B|)."""
 
     A: VertexSubset
     B: VertexSubset
     density: float
-    method: str  # exact | local_search | degree_witness
 
     def to_json_dict(self) -> dict:
         return {"A": list(self.A.members), "B": list(self.B.members),
-                "density": self.density, "method": self.method}
+                "density": self.density}
 
 
 @dataclass(frozen=True)
@@ -131,15 +129,19 @@ class BadEventFlags:
         return {"b1": self.b1, "b2": self.b2, "b3": self.b3, "b4": self.b4}
 
 
+def _induced_degrees(T: Tournament, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(members as an array, out-degrees, in-degrees) inside T[members]."""
+    idx = np.fromiter(members, dtype=np.intp, count=len(members))
+    sub = T.adj[np.ix_(idx, idx)]
+    return idx, sub.sum(axis=1, dtype=np.int64), sub.sum(axis=0, dtype=np.int64)
+
+
 def _induced_min_semidegree(T: Tournament, members) -> int:
     """Minimum semidegree of T[members]; 0 for fewer than two vertices."""
-    m = len(members)
-    if m <= 1:
+    if len(members) < 2:
         return 0
-    idx = np.fromiter(members, dtype=np.intp, count=m)
-    sub = T.adj[np.ix_(idx, idx)]
-    return int(min(sub.sum(axis=1, dtype=np.int64).min(),
-                   sub.sum(axis=0, dtype=np.int64).min()))
+    _, out, inn = _induced_degrees(T, members)
+    return int(min(out.min(), inn.min()))
 
 
 def evaluate_goodness(T: Tournament, P: Partition, eps: float) -> GoodnessReport:
@@ -155,110 +157,29 @@ def evaluate_goodness(T: Tournament, P: Partition, eps: float) -> GoodnessReport
                           density_ok=density_ok, e_AB=e_ab, e_BA=e_ba)
 
 
-def _cut_density(T: Tournament, a_mask: int, b_mask: int, sizes: tuple[int, int]) -> float:
-    out = T.out_masks
-    e = 0
-    m = a_mask
-    while m:
-        low = m & -m
-        e += (out[low.bit_length() - 1] & b_mask).bit_count()
-        m ^= low
-    return e / (sizes[0] * sizes[1])
+def balanced_cut_search(T: Tournament) -> CutResult:
+    """Max-density balanced directed cut, exact for every n >= 2.
 
-
-def _exact_balanced_cut(T: Tournament) -> CutResult:
-    n = T.n
-    half = n // 2
-    full = (1 << n) - 1
-    best = (-1.0, 0, 0, 0, 0)
-    for combo in combinations(range(n), half):
-        a_mask = 0
-        for v in combo:
-            a_mask |= 1 << v
-        b_mask = full & ~a_mask
-        d1 = _cut_density(T, a_mask, b_mask, (half, n - half))
-        if d1 > best[0]:
-            best = (d1, a_mask, b_mask, half, n - half)
-        d2 = _cut_density(T, b_mask, a_mask, (n - half, half))
-        if d2 > best[0]:
-            best = (d2, b_mask, a_mask, n - half, half)
-    _, a_mask, b_mask, _, _ = best
-    return CutResult(A=VertexSubset.from_mask(n, a_mask),
-                     B=VertexSubset.from_mask(n, b_mask),
-                     density=best[0], method="exact")
-
-
-def _hill_climb(T: Tournament, a_members: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Best-swap ascent on e(A,B); returns (A members, e(A,B), moved?).
-
-    The gain of swapping a in A with b in B separates into per-vertex
-    terms, so each step costs O(n): delta = inA[a] - outB[a] + outB[b]
-    - inA[b] + 1, where inA[v] = |N-(v) & A| and outB[v] = |N+(v) & B|.
-    """
-    n = T.n
-    adj = T.adj.astype(np.int32)
-    in_a = np.zeros(n, dtype=bool)
-    in_a[a_members] = True
-    inA = adj[in_a, :].sum(axis=0)
-    outB = adj[:, ~in_a].sum(axis=1)
-    e = int(inA[~in_a].sum())
-    gain_a = inA - outB
-    moved = False
-    while True:
-        a_idx = np.flatnonzero(in_a)
-        b_idx = np.flatnonzero(~in_a)
-        a = a_idx[int(np.argmax(gain_a[a_idx]))]
-        b = b_idx[int(np.argmin(gain_a[b_idx]))]
-        delta = int(gain_a[a]) - int(gain_a[b]) + 1
-        if delta <= 0:
-            return np.flatnonzero(in_a), e, moved
-        in_a[a] = False
-        in_a[b] = True
-        e += delta
-        inA += adj[b, :] - adj[a, :]
-        outB += adj[:, a] - adj[:, b]
-        gain_a = inA - outB
-        moved = True
-
-
-def balanced_cut_search(T: Tournament, effort: int = 8, mode: str = "auto") -> CutResult:
-    """Max-density balanced directed cut.
-
-    Exhaustive for n <= 20, otherwise the best of the high-out-degree
-    witness split and ``effort`` seeded hill-climbing restarts (a
-    heuristic, reported as such). ``mode`` forces "exact" (refused above
-    n = 20) or "heuristic"; "auto" picks by size.
+    Each pair inside A carries exactly one edge, so e(A,B) is the sum of
+    d+(a) over A minus |A|(|A|-1)/2, and the best A of each size is the
+    set of highest scorers (Landau 1953). Ties in score go to the lower
+    label. For odd n both sizes n//2 and n - n//2 have the same |A||B|,
+    so the larger e(A,B) wins, n//2 on a tie.
     """
     n = T.n
     if n < 2:
         raise BadParams("cut search needs n >= 2")
-    if mode not in ("auto", "exact", "heuristic"):
-        raise BadParams(f"unknown cut search mode {mode!r}")
-    if mode == "exact" and n > EXACT_CUT_MAX_N:
-        raise BadParams(f"exact cut search capped at n = {EXACT_CUT_MAX_N}, got {n}")
-    if mode != "heuristic" and n <= EXACT_CUT_MAX_N:
-        return _exact_balanced_cut(T)
+    out = T.out_degrees()
+    order = np.argsort(-out, kind="stable")
+    prefix = np.cumsum(out[order])
 
-    half = n // 2
-    candidates: list[tuple[int, np.ndarray, str]] = []
+    def e_top(k: int) -> int:  # e(A,B) for A = the k highest scorers
+        return int(prefix[k - 1]) - k * (k - 1) // 2
 
-    order = np.argsort(-T.out_degrees(), kind="stable")
-    witness = np.sort(order[:half])
-    w_members, w_e, w_moved = _hill_climb(T, witness)
-    candidates.append((w_e, w_members, "local_search" if w_moved else "degree_witness"))
-
-    for r in range(effort):
-        rng = np.random.default_rng(0xC0_7E50 + r)
-        size = half if (n % 2 == 0 or r % 2 == 0) else n - half
-        start = np.sort(rng.choice(n, size=size, replace=False))
-        members, e, _ = _hill_climb(T, start)
-        candidates.append((e, members, "local_search"))
-
-    best_e, best_members, method = max(
-        candidates, key=lambda c: c[0] / (len(c[1]) * (n - len(c[1]))))
-    a = VertexSubset(n, [int(v) for v in best_members])
-    b = VertexSubset(n, [int(v) for v in np.setdiff1d(np.arange(n), best_members)])
-    return CutResult(A=a, B=b, density=best_e / (len(a) * len(b)), method=method)
+    k = max((n // 2, n - n // 2), key=e_top)
+    a = VertexSubset(n, sorted(order[:k].tolist()))
+    b = VertexSubset(n, sorted(order[k:].tolist()))
+    return CutResult(A=a, B=b, density=e_top(k) / (k * (n - k)))
 
 
 def removal_sets(
@@ -275,20 +196,10 @@ def removal_sets(
     scarce = (0.25 - delta) * n
     fifth = n / 5
 
-    ia = np.fromiter(A0.members, dtype=np.intp, count=len(A0))
-    sub_a = T.adj[np.ix_(ia, ia)]
-    in_a = sub_a.sum(axis=0, dtype=np.int64)
-    out_a = sub_a.sum(axis=1, dtype=np.int64)
-    a_minus = [int(ia[i]) for i in range(len(ia)) if in_a[i] <= scarce]
-    a_plus = [int(ia[i]) for i in range(len(ia)) if out_a[i] <= fifth]
-
-    ib = np.fromiter(B0.members, dtype=np.intp, count=len(B0))
-    sub_b = T.adj[np.ix_(ib, ib)]
-    in_b = sub_b.sum(axis=0, dtype=np.int64)
-    out_b = sub_b.sum(axis=1, dtype=np.int64)
-    b_plus = [int(ib[i]) for i in range(len(ib)) if out_b[i] <= scarce]
-    b_minus = [int(ib[i]) for i in range(len(ib)) if in_b[i] <= fifth]
-    return a_minus, a_plus, b_plus, b_minus
+    ia, out_a, in_a = _induced_degrees(T, A0.members)
+    ib, out_b, in_b = _induced_degrees(T, B0.members)
+    return (ia[in_a <= scarce].tolist(), ia[out_a <= fifth].tolist(),
+            ib[out_b <= scarce].tolist(), ib[in_b <= fifth].tolist())
 
 
 def clean_to_good_partition(

@@ -2,12 +2,14 @@
 
 These deliberately avoid the package's optimized code paths: matching by
 exhaustive recursion, reachability by plain per-vertex BFS over
-adjacency lists, so they can referee the fast implementations.
+adjacency lists, the balanced cut by enumerating every split, so they can
+referee the fast implementations.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -30,6 +32,19 @@ def brute_force_max_matching(edges: list[tuple[int, int]]) -> int:
         return best
 
     return go(0, frozenset())
+
+
+def brute_force_balanced_cut(T: Tournament) -> float:
+    """Max of e(A,B)/(|A||B|) over every split with |A| in {n//2, n - n//2},
+    counting the A->B edges of each split directly."""
+    n = T.n
+    best = 0.0
+    for size in {n // 2, n - n // 2}:
+        for a in combinations(range(n), size):
+            b = [v for v in range(n) if v not in a]
+            e = sum(int(T.adj[u, v]) for u in a for v in b)
+            best = max(best, e / (size * (n - size)))
+    return best
 
 
 def bfs_reachable(T: Tournament, start: int, allowed: set[int]) -> set[int]:

@@ -110,6 +110,18 @@ class TestEstimate:
             ExperimentConfig.from_json_dict({"p_values": [0.5], "family": "main",
                                              "params": {}, "bogus": 1})
 
+    @pytest.mark.parametrize("overrides", [
+        {"trials": "100"}, {"trials": True}, {"t": 1.5}, {"master_seed": 1.5},
+        {"seed": "3"}, {"p_values": ["0.5"]}, {"p_values": 0.5},
+        {"family": 3}, {"params": [31, 1]},
+        {"family": None, "params": {}, "tournament_path": 7},
+        {"output_path": 0},
+    ])
+    def test_config_field_types(self, tmp_path, capsys, overrides):
+        cfg = self.config(tmp_path, **overrides)
+        assert main(["estimate", "--config", cfg]) == EXIT_BAD_PARAMS
+        assert "must be" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["estimate", "--config", str(tmp_path / "none.json")]) == EXIT_IO
 
@@ -165,16 +177,23 @@ class TestAnalyze:
         result = json.loads(capsys.readouterr().out)
         assert result["branch"] == "no almost-directed cut"
 
-    def test_large_regular_tournament_is_inconclusive(self, tmp_path, capsys):
-        # above the exact-search cap, a below-threshold heuristic result
-        # cannot certify absence of a cut
-        trn = tmp_path / "rot31.trn"
-        main(["gen", "rotational", "--k", "15", "--out", str(trn)])
+    def test_no_cut_above_twenty_vertices(self, tmp_path, capsys):
+        # the verdict is exact at every n: a regular tournament's balanced
+        # cuts all have density 1/2, and the main family at n=203, t=2 peaks
+        # below the default threshold 1 - 1e-3
+        rot = tmp_path / "rot31.trn"
+        main(["gen", "rotational", "--k", "15", "--out", str(rot)])
+        big = tmp_path / "main203.trn"
+        main(["gen", "main", "--n", "203", "--t", "2", "--out", str(big)])
         capsys.readouterr()
-        assert main(["analyze", "--file", str(trn), "--eps", "0.01"]) == EXIT_OK
+        assert main(["analyze", "--file", str(rot), "--eps", "0.01"]) == EXIT_OK
         result = json.loads(capsys.readouterr().out)
-        assert result["branch"] == "inconclusive"
-        assert result["cut"]["density"] < 0.99
+        assert result["branch"] == "no almost-directed cut"
+        assert result["cut"]["density"] == 0.5
+        assert main(["analyze", "--file", str(big)]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)
+        assert result["branch"] == "no almost-directed cut"
+        assert result["cut"]["density"] < 0.999
 
     def test_malformed_file_names_line(self, tmp_path, capsys):
         trn = write(tmp_path / "bad.trn", "TRN1 3\n010\n0x1\n100\n")

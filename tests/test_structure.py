@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from conftest import bfs_reachable, brute_force_max_matching
+from conftest import (bfs_reachable, brute_force_balanced_cut,
+                      brute_force_max_matching, tournament_from_bits)
 
 from tourneylab import (Partition, Tournament, VertexSubset, bad_events,
                         balanced_cut_search, clean_to_good_partition,
@@ -49,38 +51,43 @@ class TestPartition:
 
 class TestBalancedCutSearch:
     def test_two_block_construction_is_perfect(self):
-        T = extremal_theorem1_even(3)  # n = 14, exact regime
+        T = extremal_theorem1_even(3)  # n = 14
         cut = balanced_cut_search(T)
-        assert cut.method == "exact"
         assert cut.density == 1.0
         assert set(cut.A.members) == set(range(7))
 
     def test_regular_tournament_has_no_almost_directed_cut(self):
         cut = balanced_cut_search(rotational_tournament(7))  # n = 15
-        assert cut.method == "exact"
         assert cut.density < 0.9
         # in a k-regular tournament every balanced cut carries the same flow
         assert cut.density == pytest.approx(0.5)
 
-    def test_exact_and_heuristic_agree_on_small_instances(self):
-        for seed in range(20):
-            T = random_tournament(14, seed)
-            exact = balanced_cut_search(T, mode="exact")
-            heur = balanced_cut_search(T, mode="heuristic", effort=8)
-            assert heur.density == pytest.approx(exact.density)
-
-    def test_heuristic_on_large_instance(self):
-        T = extremal_main(203, 2)
-        cut = balanced_cut_search(T, effort=4)
-        assert cut.density >= 0.97
-        assert cut.method in ("local_search", "degree_witness")
-        assert abs(len(cut.A) - len(cut.B)) <= 1
-
-    def test_mode_validation(self):
+    def test_density_matches_brute_force(self):
+        rng = random.Random(4)
+        for n in range(2, 13):
+            inputs = [random_tournament(n, seed) for seed in range(4)]
+            inputs += [tournament_from_bits(n, rng.getrandbits(n * (n - 1) // 2))
+                       for _ in range(4)]
+            for T in inputs:
+                cut = balanced_cut_search(T)
+                assert cut.density == brute_force_balanced_cut(T)
+                assert abs(len(cut.A) - len(cut.B)) <= 1
+                assert set(cut.A.members) | set(cut.B.members) == set(range(n))
+                e = int(T.adj[np.ix_(cut.A.members, cut.B.members)].sum())
+                assert cut.density == e / (len(cut.A) * len(cut.B))
         with pytest.raises(BadParams):
-            balanced_cut_search(transitive_tournament(30), mode="exact")
-        with pytest.raises(BadParams):
-            balanced_cut_search(transitive_tournament(5), mode="sideways")
+            balanced_cut_search(transitive_tournament(1))
+
+    def test_top_scorers_form_a_at_n203(self):
+        # swapping a in A with b in B changes e(A,B) by d+(b) - d+(a), so the
+        # cut is optimal iff every score in A is at least every score in B
+        main = extremal_main(203, 2)
+        for T in (main, random_tournament(203, 5)):
+            cut = balanced_cut_search(T)
+            out = T.out_degrees()
+            assert out[list(cut.A.members)].min() >= out[list(cut.B.members)].max()
+            assert abs(len(cut.A) - len(cut.B)) <= 1
+        assert balanced_cut_search(main).density >= 0.97
 
 
 class TestCleanToGoodPartition:
