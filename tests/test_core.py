@@ -43,6 +43,13 @@ class TestValidate:
         with pytest.raises(PairViolation):
             validate(m)
 
+    def test_digon_and_missing_edge_rejected(self):
+        # the edge count is right: the extra 1 -> 0 fills the gap at {1, 2}
+        m = [[0, 1, 0], [1, 0, 0], [1, 0, 0]]
+        with pytest.raises(PairViolation) as exc:
+            validate(m)
+        assert (exc.value.i, exc.value.j) == (0, 1)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             validate([[0, 1], [0, 0], [1, 1]])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tourneylab import (HamiltonCertificate, Tournament, VertexSubset,
                         brute_force_hamiltonian, check_certificate,
+                        extremal_main, extremal_main_blocks,
                         extremal_theorem1_even, hamilton_cycle,
                         hamiltonian_batch, hamiltonian_on_subset, induced,
                         is_hamiltonian, is_valid_certificate,
@@ -163,6 +164,37 @@ class TestHamiltonCycle:
                 continue
             cert = hamilton_cycle(T)
             check_certificate(T, cert)
+
+    def test_planted_block_members(self):
+        for seed in range(4):
+            T = planted_blocks(seed)
+            comps = scc(T)
+            assert (hamilton_cycle(T) is None) == (comps.component_count > 1)
+            labels = np.array(comps.component_of)
+            for c in range(comps.component_count):
+                members = np.flatnonzero(labels == c)
+                if len(members) < 3:
+                    continue
+                U = induced(T, VertexSubset(T.n, members))
+                cert = hamilton_cycle(U)
+                assert cert is not None
+                check_certificate(U, cert)
+
+    def test_main_family_with_reversed_pairs(self):
+        # the analyze benchmark's input shape at n = 300: main family with
+        # random A->B edges turned around, so insertions meet many flips
+        n = 300
+        adj = np.array(extremal_main(n, 2).adj)
+        ra, rb, _ = extremal_main_blocks(n, 2)
+        rng = np.random.default_rng(3)
+        a = rng.integers(ra.start, ra.stop, n)
+        b = rng.integers(rb.start, rb.stop, n)
+        adj[a, b] = 0
+        adj[b, a] = 1
+        T = Tournament(adj)
+        cert = hamilton_cycle(T)
+        assert cert is not None
+        check_certificate(T, cert)
 
 
 class TestCertificates:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import brute_force_size_counts, planted_blocks
 
 from tourneylab import (SamplePlan, VertexSubset,
                         estimate_hamiltonian_probability,
@@ -12,7 +13,7 @@ from tourneylab import (SamplePlan, VertexSubset,
                         transitive_tournament, trial_subset,
                         uniform_subset_probability, wilson_interval)
 from tourneylab.errors import BadParams, TooLarge
-from tourneylab.sampling import Z95, Z997
+from tourneylab.sampling import Z95, Z997, hamiltonian_subset_size_counts
 
 
 class TestSamplePlan:
@@ -25,6 +26,33 @@ class TestSamplePlan:
             SamplePlan(p=0.5, trials=0, master_seed=1)
         with pytest.raises(BadParams):
             SamplePlan(p=0.5, trials=10, master_seed=-1)
+
+    @pytest.mark.parametrize("p, trials, master_seed", [
+        (0.5, 3000, 1.5),      # would run as seed 1 and echo 1.5
+        (0.5, True, 1),        # would run one trial and echo true
+        (0.5, 3000.0, 1),
+        (0.5, "3000", 1),
+        (0.5, 3000, False),
+        (0.5, 3000, "1"),
+        (0.5, 3000, None),
+        (True, 3000, 1),
+        ("0.5", 3000, 1),
+        (None, 3000, 1),
+        (0.5 + 0j, 3000, 1),
+    ])
+    def test_rejects_wrong_types(self, p, trials, master_seed):
+        with pytest.raises(BadParams):
+            SamplePlan(p=p, trials=trials, master_seed=master_seed)
+
+    def test_numpy_numbers_accepted(self):
+        T = random_tournament(9, seed=4)
+        plain = estimate_hamiltonian_probability(
+            T, SamplePlan(p=0.5, trials=3000, master_seed=1), threads=1)
+        for plan in (SamplePlan(p=np.float64(0.5), trials=np.int64(3000),
+                                master_seed=np.uint64(1)),
+                     SamplePlan(p=0.5, trials=np.int32(3000), master_seed=np.int64(1))):
+            assert estimate_hamiltonian_probability(
+                T, plan, threads=1).successes == plain.successes
 
 
 class TestWilson:
@@ -152,6 +180,24 @@ class TestExact:
         # p + (1-p) decomposition sanity at an asymmetric p
         value = exact_hamiltonian_probability(triangle, 0.25)
         assert value == pytest.approx(0.25**3)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_counts_match_referee(self, n):
+        planted = planted_blocks(n)  # its labels are permuted: take any n
+        for T in (random_tournament(n, seed=n), random_tournament(n, seed=100 + n),
+                  induced(planted, VertexSubset(planted.n, range(n))),
+                  transitive_tournament(n)):
+            counts = hamiltonian_subset_size_counts(T)
+            assert counts.tolist() == brute_force_size_counts(T).tolist()
+
+    def test_cap_n20(self):
+        T = random_tournament(20, seed=5)
+        counts = hamiltonian_subset_size_counts(T)
+        scores = T.out_degrees().astype(np.int64)
+        # Moon: a 3-set is a 3-cycle unless one member beats the other two
+        assert counts[3] == math.comb(20, 3) - int((scores * (scores - 1) // 2).sum())
+        assert counts[20] == is_hamiltonian(T)
+        assert counts[:3].tolist() == [0, 0, 0]
 
     def test_monotone_in_p_for_main_family(self):
         T = extremal_main(16, 2)
