@@ -35,7 +35,7 @@ class Tournament:
 
     def __init__(self, adj, *, parent_labels: tuple[int, ...] | None = None,
                  _trusted: bool = False):
-        a = np.asarray(adj, dtype=np.uint8)
+        a = np.asarray(adj)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be a square matrix, got shape {a.shape}")
         n = a.shape[0]
@@ -44,8 +44,10 @@ class Tournament:
         if n > MAX_VERTICES:
             raise ValueError(f"n = {n} exceeds the supported maximum {MAX_VERTICES}")
         if not _trusted:
+            _check_entries(a)
+        a = np.ascontiguousarray(a, dtype=np.uint8)
+        if not _trusted:
             _check_invariants(a)
-        a = np.ascontiguousarray(a)
         a.setflags(write=False)
         self.n = n
         self.adj = a
@@ -88,6 +90,13 @@ class Tournament:
         return f"Tournament(n={self.n})"
 
 
+def _check_entries(a: np.ndarray) -> None:
+    """Reject entries other than 0/1 before the uint8 cast can wrap them;
+    a uint8 matrix needs only its maximum, not an n x n temporary."""
+    if not (a.max() <= 1 if a.dtype == np.uint8 else np.isin(a, (0, 1)).all()):
+        raise ValueError("matrix entries must be 0 or 1")
+
+
 def _check_invariants(a: np.ndarray) -> None:
     bad = np.flatnonzero(np.diagonal(a))
     if bad.size:
@@ -108,12 +117,7 @@ def validate(raw_matrix) -> Tournament:
     Raises DiagonalNonzero or PairViolation identifying the first offending
     cell (row-major over the diagonal, then lexicographic over pairs).
     """
-    a = np.asarray(raw_matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not np.isin(a, (0, 1)).all():
-        raise ValueError("matrix entries must be 0 or 1")
-    return Tournament(a.astype(np.uint8))
+    return Tournament(np.array(raw_matrix))  # a copy: the caller's matrix stays writable
 
 
 class VertexSubset:

@@ -195,6 +195,19 @@ class TestAnalyze:
         assert result["branch"] == "no almost-directed cut"
         assert result["cut"]["density"] < 0.999
 
+    @pytest.mark.parametrize("flags", [
+        ["--eps", "-1"], ["--eps", "nan"], ["--eps", "0.5"], ["--k", "0"], ["--k", "-3"],
+        ["--t", "0", "--k", "3"], ["--t", "-2", "--k", "3"], ["--t", "0"]])
+    def test_bad_flags_exit_2_before_reading(self, tmp_path, capsys, flags):
+        # checked on whichever branch the input would take, and before the
+        # file is opened: a missing file still exits 2, not 3
+        trn = tmp_path / "te9.trn"
+        main(["gen", "theorem1-even", "--k", "9", "--out", str(trn)])
+        assert main(["analyze", "--file", str(trn), *flags]) == EXIT_BAD_PARAMS
+        missing = str(tmp_path / "missing.trn")
+        assert main(["analyze", "--file", missing, *flags]) == EXIT_BAD_PARAMS
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_file_names_line(self, tmp_path, capsys):
         trn = write(tmp_path / "bad.trn", "TRN1 3\n010\n0x1\n100\n")
         assert main(["analyze", "--file", trn]) == EXIT_PARSE

@@ -58,6 +58,15 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate([[0, 2], [0, 0]])
 
+    @pytest.mark.parametrize("m", [[[0, 255, 1], [2, 0, 1], [0, 0, 0]], [[0, 3], [-2, 0]]])
+    def test_constructor_rejects_wrapping_entries(self, m):
+        # each pair sums to 1 modulo 256, so a check after the uint8 cast passes
+        for a in (np.array(m), np.array(m).astype(np.uint8)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                Tournament(a)
+            with pytest.raises(ValueError, match="0 or 1"):
+                validate(a)
+
     @settings(max_examples=60, deadline=None)
     @given(tournaments())
     def test_generated_tournaments_validate(self, T):

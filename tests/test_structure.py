@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +270,110 @@ class TestMaxBAMatching:
                         assert b in cover or a in cover
             seen = [v for e in mc.matching for v in e]
             assert len(seen) == len(set(seen))
+
+
+    def test_certificate_at_n2000(self):
+        # a random tournament at its top-score cut (X empty) and the main
+        # family with reversed A->B pairs: the certificate is checked whole
+        inputs = []
+        for seed in (0, 1):
+            T = random_tournament(2000, seed)
+            cut = balanced_cut_search(T)
+            inputs.append((T, Partition(cut.A, cut.B, VertexSubset(2000, []))))
+        adj = np.array(extremal_main(2000, 2).adj)
+        ra, rb, _ = extremal_main_blocks(2000, 2)
+        rng = np.random.default_rng(3)
+        a = rng.integers(ra.start, ra.stop, 2000)
+        b = rng.integers(rb.start, rb.stop, 2000)
+        adj[a, b], adj[b, a] = 0, 1
+        inputs.append((Tournament(adj), main_blocks_partition(2000, 2)))
+        limit = sys.getrecursionlimit()
+        for T, P in inputs:
+            mc = max_BA_matching(T, P)
+            assert sys.getrecursionlimit() == limit
+            pairs = np.array(mc.matching, dtype=np.intp).reshape(-1, 2)
+            assert np.isin(pairs[:, 0], P.B.members).all()
+            assert np.isin(pairs[:, 1], P.A.members).all()
+            assert T.adj[pairs[:, 0], pairs[:, 1]].all()
+            assert len(np.unique(pairs)) == 2 * len(pairs)
+            assert len(mc.cover) == len(mc.matching) > 0
+            covered = np.zeros(T.n, dtype=bool)
+            covered[list(mc.cover)] = True
+            ib, ia = np.array(P.B.members), np.array(P.A.members)
+            beats = T.adj[np.ix_(ib, ia)].astype(bool)
+            assert not (beats & ~covered[ib][:, None] & ~covered[ia][None, :]).any()
+
+
+class TestDegreeIdentities:
+    """Goodness, removal sets and refinement against counts taken straight
+    from the induced submatrices."""
+
+    @staticmethod
+    def naive_min_semidegree(T, S):
+        if len(S) < 2:
+            return 0
+        sub = T.adj[np.ix_(S, S)].astype(np.int64)
+        return min(sub.sum(axis=1).min(), sub.sum(axis=0).min())
+
+    def test_matches_naive_recount(self):
+        rng = np.random.default_rng(17)
+        for case in range(100):
+            n = int(rng.integers(5, 61))
+            cut_a, cut_b = np.sort(rng.integers(0, n + 1, 2))
+            if case % 2:  # near-halves and a small X
+                cut_a, cut_b = n // 2 - int(rng.integers(0, 2)), n - int(rng.integers(0, 3))
+            if case % 4 == 0:
+                cut_b = n  # empty X
+            adj = np.triu(rng.integers(0, 2, (n, n), dtype=np.uint8), 1)
+            adj += np.tril(1 - adj.T, -1)
+            if case % 2:  # nearly all A -> B, a few pairs reversed
+                adj[:cut_a, cut_a:cut_b], adj[cut_a:cut_b, :cut_a] = 1, 0
+                for _ in range(int(rng.integers(0, 6))):
+                    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
+                    if i != j:
+                        adj[i, j], adj[j, i] = adj[j, i], adj[i, j]
+            perm = rng.permutation(n)
+            T = Tournament(adj[np.ix_(perm, perm)])
+            inv = np.argsort(perm)  # new label of each old vertex
+            A = sorted(inv[:cut_a].tolist())
+            B = sorted(inv[cut_a:cut_b].tolist())
+            X = sorted(inv[cut_b:].tolist())
+            P = Partition.from_members(n, A, B, X)
+            eps = float(rng.choice([1e-3, 1e-2, 0.1, 0.3]))
+
+            e_ab = int(T.adj[np.ix_(A, B)].sum())
+            e_ba = int(T.adj[np.ix_(B, A)].sum())
+            semi = (self.naive_min_semidegree(T, A) >= (1 / 6 - eps) * n
+                    and self.naive_min_semidegree(T, B) >= (1 / 6 - eps) * n)
+            g = evaluate_goodness(T, P, eps)
+            assert (g.e_AB, g.e_BA) == (e_ab, e_ba)
+            assert g.size_ok == (len(A) >= (1 - eps) * n / 2 and len(B) >= (1 - eps) * n / 2)
+            assert g.semidegree_ok == semi
+            assert g.density_ok == (e_ab >= (1 - eps) * len(A) * len(B))
+
+            want = []
+            for S, low_in in ((A, True), (B, False)):
+                sub = T.adj[np.ix_(S, S)].astype(np.int64)
+                out, inn = sub.sum(axis=1), sub.sum(axis=0)
+                scarce, fifth = (inn, out) if low_in else (out, inn)
+                want.append([v for v, d in zip(S, scarce) if d <= (0.25 - math.sqrt(eps)) * n])
+                want.append([v for v, d in zip(S, fifth) if d <= n / 5])
+            assert list(removal_sets(T, P.A, P.B, eps)) == want
+
+            k, t = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            beats = T.adj[np.ix_(B, A)].astype(np.int64)
+            move_b = [v for v, d in zip(B, beats.sum(axis=1)) if A and d >= k + t]
+            move_a = [v for v, d in zip(A, beats.sum(axis=0)) if B and d >= k + t]
+            r = refine_partition(T, P, k, t)
+            if len(move_b) > t or len(move_a) > t:
+                assert r.short_circuit and r.partition is P and r.moved == ()
+                continue
+            moved = set(move_a) | set(move_b)
+            assert not r.short_circuit
+            assert r.moved == tuple(sorted(moved))
+            assert r.partition.to_json_dict() == {
+                "A": [v for v in A if v not in moved], "B": [v for v in B if v not in moved],
+                "X": sorted(set(X) | moved)}
 
 
 class TestBadEvents:
