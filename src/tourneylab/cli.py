@@ -26,9 +26,10 @@ from .generators import FAMILIES, ExtremalSpec
 from .hamilton import HamiltonCertificate, check_certificate, is_hamiltonian
 from .sampling import (SamplePlan, estimate_hamiltonian_probability,
                        theoretical_bound)
-from .structure import (_check_cleaning_eps, balanced_cut_search,
-                        clean_to_good_partition, default_connector_k,
-                        k_connectors, max_BA_matching, refine_partition)
+from .structure import (_check_cleaning_eps, _check_connector_params,
+                        balanced_cut_search, clean_to_good_partition,
+                        default_connector_k, k_connectors, max_BA_matching,
+                        refine_partition)
 
 EXIT_OK = 0
 EXIT_BAD_PARAMS = 2
@@ -210,9 +211,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _check_cleaning_eps(args.eps)
-    if args.t < 1 or (args.k is not None and args.k < 1):
-        raise BadParams(f"need t >= 1 and k >= 1, got t={args.t} k={args.k}")
     k = args.k if args.k is not None else default_connector_k(args.p, args.t, args.sigma)
+    _check_connector_params(k, args.t)
     T = read_trn1(args.file)
     cut = balanced_cut_search(T)
     result: dict = {

@@ -26,9 +26,11 @@ MAX_VERTICES = 1 << 16
 class Tournament:
     """Immutable complete oriented graph.
 
-    The constructor checks both tournament invariants (zero diagonal,
-    exactly one orientation per pair) unless ``_trusted`` is set by
-    internal code that constructs provably valid matrices.
+    The constructor copies ``adj`` and checks both tournament invariants
+    (zero diagonal, exactly one orientation per pair) on the copy, so the
+    caller's array stays writable and later edits to it cannot reach the
+    tournament. Internal code that builds a fresh, provably valid matrix
+    sets ``_trusted`` and hands the matrix over without a copy.
     """
 
     __slots__ = ("n", "adj", "parent_labels", "_out_masks", "_in_masks")
@@ -43,10 +45,11 @@ class Tournament:
             raise ValueError("a tournament needs at least one vertex")
         if n > MAX_VERTICES:
             raise ValueError(f"n = {n} exceeds the supported maximum {MAX_VERTICES}")
-        if not _trusted:
+        if _trusted:
+            a = np.ascontiguousarray(a, dtype=np.uint8)
+        else:
             _check_entries(a)
-        a = np.ascontiguousarray(a, dtype=np.uint8)
-        if not _trusted:
+            a = a.astype(np.uint8, order="C")
             _check_invariants(a)
         a.setflags(write=False)
         self.n = n
@@ -117,7 +120,7 @@ def validate(raw_matrix) -> Tournament:
     Raises DiagonalNonzero or PairViolation identifying the first offending
     cell (row-major over the diagonal, then lexicographic over pairs).
     """
-    return Tournament(np.array(raw_matrix))  # a copy: the caller's matrix stays writable
+    return Tournament(raw_matrix)
 
 
 class VertexSubset:
@@ -229,7 +232,11 @@ def parse_trn1(text: str) -> Tournament:
     Structural problems raise Trn1ParseError with the 1-based line number;
     orientation problems raise DiagonalNonzero/PairViolation.
     """
-    return Tournament(_trn1_cells(text))
+    # The cells are a fresh 0/1 buffer, so they are handed over without
+    # the constructor's copy and only the pair invariants remain to check.
+    T = Tournament(_trn1_cells(text), _trusted=True)
+    _check_invariants(T.adj)
+    return T
 
 
 def _trn1_cells(text: str) -> np.ndarray:

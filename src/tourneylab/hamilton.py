@@ -11,8 +11,12 @@ purpose:
   (visited-subset, endpoint) states, the trust anchor for small n;
 * ``hamiltonian_batch`` — vectorized score-sequence test (a tournament is
   strong iff every proper prefix sum of its sorted score sequence strictly
-  exceeds k(k-1)/2, Moon/Landau), used by the Monte Carlo estimator;
-  ``scc`` cuts the sorted score sequence where that prefix sum is equal.
+  exceeds k(k-1)/2, Moon/Landau), used by the Monte Carlo estimator. One
+  float32 product with adj^T - n*I shifts the members' scores below every
+  non-member's value, and a row is strong iff the first k at which the
+  sorted int32 prefix sums meet C(k,2) - n*k is k = |S| (int64 only once
+  n^2 >= 2^31); ``scc`` cuts the sorted score sequence where that prefix
+  sum is equal.
 
 They are cross-checked against each other in the test suite; certificates
 are validated edge-by-edge, so the constructive algorithm never has to be
@@ -292,40 +296,57 @@ def brute_force_hamiltonian(T: Tournament) -> bool:
     return closing != 0
 
 
-def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
+def _prefix_dtype(n: int) -> np.dtype:
+    """Integer dtype of the shifted prefix sums: every prefix lies in
+    [-n^2, 0], so int32 holds it unless n^2 >= 2^31 (n > 46340)."""
+    return np.dtype(np.int64 if n * n >= 1 << 31 else np.int32)
+
+
+def _shifted_adjacency(T: Tournament) -> np.ndarray:
+    """M = adj^T - n*I as float32, the right factor of hamiltonian_batch.
+
+    Built once per estimate and shared read-only by every block."""
+    n = T.n
+    shifted = T.adj.T.astype(np.float32)
+    np.fill_diagonal(shifted, -n)
+    return shifted
+
+
+def hamiltonian_batch(T: Tournament, inclusion: np.ndarray, *,
+                      _shifted: np.ndarray | None = None) -> np.ndarray:
     """Per-row Hamiltonicity of T[S] for a batch of subsets of V(T).
 
     ``inclusion`` is a (batch, n) boolean matrix; row r encodes subset
     S_r. Returns a boolean vector: T[S_r] Hamiltonian, with |S| <= 2
-    counting as non-Hamiltonian.
+    counting as non-Hamiltonian. ``_shifted`` is _shifted_adjacency(T),
+    passed in by callers that run many batches on one T.
 
-    Kernel: out-scores of the members inside S_r come from one matrix
-    product; T[S_r] is strongly connected iff every proper prefix of the
-    ascending score sequence sums to strictly more than k(k-1)/2 (the
-    bottom-k vertices would otherwise form a dominated set). Exact in
-    integer arithmetic: all counts are far below float32's 2^24 limit.
+    Kernel: one float32 product with M = adj^T - n*I gives each member v
+    of S its score inside S minus n (in [-n, -1]) and each non-member its
+    out-degree into S (>= 0), so after an ascending sort the members come
+    first, in score order, and no sentinel is needed. Compare the prefix
+    sums with C(k,2) - n*k for k = 1..n. Up to k = |S| this is Landau's
+    test: the k lowest scores sum to at least C(k,2), with equality at
+    k = |S|, and equality at a smaller k means those k members have all
+    their out-edges among themselves. Past |S| every step adds n - k + 1
+    or more to the gap, so no tie follows. T[S] is therefore strong iff
+    its first tie is at k = |S|.
+
+    Exact: |score - n| <= n <= 2^16 is far inside float32's 2^24, and the
+    prefixes lie in [-n^2, 0], int32 unless n^2 >= 2^31 (_prefix_dtype).
     """
     if inclusion.ndim != 2 or inclusion.shape[1] != T.n:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")
     n = T.n
-    members = inclusion.astype(np.float32, copy=False)
-    adj_t = np.ascontiguousarray(T.adj.T, dtype=np.float32)
-    scores = (members @ adj_t).astype(np.int32)
-    sizes = inclusion.sum(axis=1, dtype=np.int64)
-
-    big = np.int32(1 << 22)
-    scores = np.where(inclusion, scores, big)
-    scores.sort(axis=1)
-    prefix = scores.cumsum(axis=1, dtype=np.int64)
-
-    k = np.arange(1, n, dtype=np.int64)
-    triangular = k * (k - 1) // 2
-    # Landau: prefix[k-1] >= tri(k) always; equality at some k < |S| means
-    # the k lowest-score members have all out-edges among themselves.
-    tie = prefix[:, : n - 1] == triangular
-    in_range = (k - 1) < (sizes[:, None] - 1)
-    not_strong = (tie & in_range).any(axis=1)
-    return (sizes >= 3) & ~not_strong
+    shifted = _shifted_adjacency(T) if _shifted is None else _shifted
+    dtype = _prefix_dtype(n)
+    prefix = (inclusion.astype(np.float32) @ shifted).astype(dtype)
+    prefix.sort(axis=1)
+    np.cumsum(prefix, axis=1, out=prefix)
+    k = np.arange(1, n + 1, dtype=dtype)
+    first_tie = (prefix == k * (k - 1) // 2 - n * k).argmax(axis=1) + 1
+    sizes = inclusion.sum(axis=1)
+    return (first_tie == sizes) & (sizes >= 3)
 
 
 def hamiltonian_on_subset(T: Tournament, S: VertexSubset) -> bool:

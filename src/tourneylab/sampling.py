@@ -11,11 +11,15 @@ Reproducibility contract: trial i of an estimate draws its inclusion
 vector from a Philox stream keyed by (master_seed, i // BLOCK_TRIALS) at
 row i % BLOCK_TRIALS. Blocks have a fixed size, are independent streams,
 and are reduced by an integer sum, so the report is bit-identical for any
-thread count and any scheduling order.
+thread count and any scheduling order. Vertex v is in S iff the raw
+64-bit Philox word x drawn for it is below ceil(p * 2^53) << 11. That is
+exactly ``Generator.random() < p`` on the same stream, since random()
+returns (x >> 11) * 2^-53, so the counts equal those of the uniform draw.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import time
@@ -27,7 +31,7 @@ from numpy.random import Generator, Philox
 
 from .core import Tournament, VertexSubset
 from .errors import BadParams, TooLarge
-from .hamilton import hamiltonian_batch
+from .hamilton import _shifted_adjacency, hamiltonian_batch
 
 EXACT_MAX_N = 20
 CLOSURE_CHUNK = 1 << 14
@@ -127,16 +131,25 @@ def sample_subset(n: int, p: float, rng: Generator) -> VertexSubset:
 
 
 def _block_uniforms(master_seed: int, block: int, rows: int, n: int) -> np.ndarray:
-    """Uniforms for one trial block: Philox keyed by (master_seed, block)."""
+    """Raw uint64 words for one trial block: Philox keyed by (master_seed, block).
+
+    The name predates the raw draw; perfbench's ``sampling.draw`` layer wraps it."""
     key = np.array([master_seed, block], dtype=np.uint64)
-    return Generator(Philox(key=key)).random((rows, n))
+    return Philox(key=key).random_raw((rows, n))
+
+
+def _word_threshold(p: float) -> np.uint64:
+    """The word below which a vertex is included: x < ceil(p * 2^53) << 11
+    iff (x >> 11) * 2^-53 < p. It fits in 64 bits for every p < 1."""
+    check_probability(p)
+    return np.uint64(math.ceil(p * 2**53) << 11)
 
 
 def trial_subset(n: int, p: float, master_seed: int, trial_index: int) -> VertexSubset:
     """The exact subset estimate_hamiltonian_probability uses for one trial."""
     block, row = divmod(trial_index, BLOCK_TRIALS)
-    u = _block_uniforms(master_seed, block, row + 1, n)
-    return VertexSubset(n, np.flatnonzero(u[row] < p))
+    words = _block_uniforms(master_seed, block, row + 1, n)
+    return VertexSubset(n, np.flatnonzero(words[row] < _word_threshold(p)))
 
 
 def thread_cap() -> int:
@@ -167,11 +180,16 @@ def estimate_hamiltonian_probability(
     n = T.n
     n_blocks = (plan.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     start = time.perf_counter()
+    shifted = _shifted_adjacency(T)
+    threshold = _word_threshold(plan.p)
 
     def run_block(b: int) -> int:
         rows = min(BLOCK_TRIALS, plan.trials - b * BLOCK_TRIALS)
-        u = _block_uniforms(plan.master_seed, b, rows, n)
-        return int(hamiltonian_batch(T, u < plan.p).sum())
+        # The words are freed before the kernel allocates: holding them too
+        # lifts a block's heap peak past the C allocator's trim threshold,
+        # and each block then faults its pages in afresh.
+        inclusion = _block_uniforms(plan.master_seed, b, rows, n) < threshold
+        return int(hamiltonian_batch(T, inclusion, _shifted=shifted).sum())
 
     if workers == 1 or n_blocks == 1:
         successes = sum(run_block(b) for b in range(n_blocks))

@@ -211,6 +211,13 @@ def _check_cleaning_eps(eps: float) -> None:
         raise BadParams(f"cleaning tolerance must be in (0, 0.01], got {eps}")
 
 
+def _check_connector_params(k: int, t: int = 1) -> None:
+    """k < 1 makes every vertex a connector; t < 1 removes the room for
+    moved vertices that refinement assumes."""
+    if k < 1 or t < 1:
+        raise BadParams(f"need t >= 1 and k >= 1, got t={t} k={k}")
+
+
 def clean_to_good_partition(
     T: Tournament, A0: VertexSubset, B0: VertexSubset, eps: float
 ) -> tuple[Partition, GoodnessReport]:
@@ -258,6 +265,7 @@ def refine_partition(T: Tournament, P: Partition, k: int, t: int) -> RefineResul
     side the partition is returned unchanged with short_circuit set: that
     many connectors already settle the probability bound.
     """
+    _check_connector_params(k, t)
     ia, in_a = _in_from(T, P.A.members)
     ib, in_b = _in_from(T, P.B.members)
     thresh = k + t
@@ -282,6 +290,7 @@ def refine_partition(T: Tournament, P: Partition, k: int, t: int) -> RefineResul
 
 def k_connectors(T: Tournament, P: Partition, k: int) -> VertexSubset:
     """Vertices with at least k out-neighbors in A and k in-neighbors in B."""
+    _check_connector_params(k)
     n = T.n
     if len(P.A) == 0 or len(P.B) == 0:
         return VertexSubset(n, [])

@@ -177,6 +177,17 @@ class TestSizeCap:
         with pytest.raises(ValueError):
             T.adj[0, 1] = 0
 
+    def test_caller_array_is_copied(self):
+        # the caller's uint8 array stays writable, and editing it reaches
+        # neither the matrix, the degrees nor the hash of the tournament
+        a = np.array(TRIANGLE, dtype=np.uint8)
+        T = Tournament(a)
+        before = hash(T)
+        a[0, 1], a[1, 0] = 0, 1
+        assert T.adj[0, 1] == 1 and T.adj[1, 0] == 0
+        assert T.out_degrees().tolist() == [1, 1, 1]
+        assert hash(T) == before == hash(validate(TRIANGLE))
+
 
 class TestTrn1:
     def test_round_trip(self):

@@ -13,7 +13,9 @@ from tourneylab import (HamiltonCertificate, Tournament, VertexSubset,
                         is_hamiltonian, is_valid_certificate,
                         random_tournament, rotational_tournament, scc,
                         strongly_connected, transitive_tournament)
+from tourneylab.core import MAX_VERTICES
 from tourneylab.errors import InvalidCertificate, TooLarge
+from tourneylab.hamilton import _prefix_dtype
 
 
 def strong_tournaments(max_n=11):
@@ -246,6 +248,38 @@ class TestBatchKernel:
                 assert not hamiltonian_on_subset(T, S)
             else:
                 assert hamiltonian_on_subset(T, S) == is_hamiltonian(induced(T, S))
+
+    def test_edge_sizes_and_tied_prefixes(self):
+        # rows with |S| = 0, 1, 2, 3 and n on the n = 1 and n = 2 tournaments
+        # and on planted blocks, whose sorted prefixes tie at every block
+        # boundary a row covers; single blocks and unions of two are rows too
+        rng = np.random.default_rng(3)
+        for T in (transitive_tournament(1), transitive_tournament(2),
+                  *(planted_blocks(seed) for seed in (2, 5, 8))):
+            n = T.n
+            rows = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+            for size in (1, 2, 3):
+                if size <= n:
+                    for _ in range(4):
+                        rows.append(np.isin(np.arange(n), rng.choice(n, size, replace=False)))
+            comp = np.array(scc(T).component_of)
+            for c in range(max(comp) + 1):
+                rows.append(comp == c)
+                rows.append((comp == c) | (comp == c + 1))
+            for p in (0.02, 0.2, 0.6):
+                rows.extend(rng.random((10, n)) < p)
+            inclusion = np.array(rows)
+            batch = hamiltonian_batch(T, inclusion)
+            for row, got in zip(inclusion, batch):
+                S = VertexSubset(n, np.flatnonzero(row))
+                assert got == (len(S) > 0 and is_hamiltonian(induced(T, S)))
+
+    def test_prefix_dtype_widens_past_int32(self):
+        # the prefixes lie in [-n^2, 0]; checked from n alone, since the
+        # n x n matrix at n = 46341 would take 2 GiB
+        assert _prefix_dtype(46340) == np.int32
+        assert _prefix_dtype(46341) == np.int64
+        assert _prefix_dtype(MAX_VERTICES) == np.int64
 
     def test_shape_check(self):
         T = rotational_tournament(2)

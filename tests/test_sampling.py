@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from conftest import brute_force_size_counts, planted_blocks
 
 from tourneylab import (SamplePlan, VertexSubset,
@@ -13,7 +14,8 @@ from tourneylab import (SamplePlan, VertexSubset,
                         transitive_tournament, trial_subset,
                         uniform_subset_probability, wilson_interval)
 from tourneylab.errors import BadParams, TooLarge
-from tourneylab.sampling import Z95, Z997, hamiltonian_subset_size_counts
+from tourneylab.sampling import (BLOCK_TRIALS, Z95, Z997, _block_uniforms,
+                                 _word_threshold, hamiltonian_subset_size_counts)
 
 
 class TestSamplePlan:
@@ -138,6 +140,18 @@ class TestEstimate:
                 manual += 1
         assert rep.successes == manual
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pinned_success_counts(self, threads):
+        # any change to the Philox stream, the inclusion test or the kernel
+        # moves these counts
+        for T, seed, trials, ps, want in (
+                (extremal_main(203, 2), 42, 10_000, (0.3, 0.5, 0.7), [5164, 7506, 9080]),
+                (random_tournament(40, 3), 7, 5_000, (0.05, 0.15), [520, 3053])):
+            got = [estimate_hamiltonian_probability(
+                T, SamplePlan(p=p, trials=trials, master_seed=seed), threads=threads).successes
+                for p in ps]
+            assert got == want
+
     def test_report_fields(self, triangle):
         rep = estimate_hamiltonian_probability(
             triangle, SamplePlan(p=0.5, trials=100, master_seed=4))
@@ -152,6 +166,34 @@ class TestEstimate:
         rep = estimate_hamiltonian_probability(
             transitive_tournament(2), SamplePlan(p=0.9, trials=2000, master_seed=1))
         assert rep.successes == 0
+
+
+class TestWordThreshold:
+    PS = (2.0**-53, 0.1, 0.3, 0.5, 1 - 2.0**-53)
+
+    @pytest.mark.parametrize("p", PS)
+    def test_agrees_with_uniform_compare(self, p):
+        # Generator.random() is (x >> 11) * 2^-53 for the raw word x, so the
+        # integer threshold must split the words exactly where p does
+        c = math.ceil(p * 2**53)
+        words = np.array([0, (c << 11) - 1, c << 11, (c << 11) + 1, 2**64 - 1],
+                         dtype=np.uint64)
+        uniform = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert ((words < _word_threshold(p)) == (uniform < p)).all()
+        assert (words < _word_threshold(p)).tolist() == [True, True, False, False, False]
+
+    @pytest.mark.parametrize("p", PS)
+    def test_full_block_matches_generator(self, p):
+        words = _block_uniforms(42, 3, BLOCK_TRIALS, 50)
+        key = np.array([42, 3], dtype=np.uint64)
+        u = Generator(Philox(key=key)).random((BLOCK_TRIALS, 50))
+        assert np.array_equal(words < _word_threshold(p), u < p)
+
+    def test_p_outside_open_interval_rejected(self):
+        # 1 << 64 would not fit the word, so p = 1 is refused like p = 0
+        for p in (0.0, 1.0, 1.5):
+            with pytest.raises(BadParams):
+                trial_subset(5, p, 1, 0)
 
 
 class TestExact:

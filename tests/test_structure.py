@@ -189,6 +189,22 @@ class TestRefinePartition:
         assert result.moved == ()
 
 
+class TestConnectorParams:
+    @pytest.mark.parametrize("call", [
+        lambda T, P: k_connectors(T, P, 0),
+        lambda T, P: refine_partition(T, P, 0, 0),
+        lambda T, P: refine_partition(T, P, -5, 1),
+        lambda T, P: refine_partition(T, P, 3, 0),
+    ])
+    def test_k_and_t_below_one_rejected(self, call):
+        # before the check, k = 0 made every vertex a connector and the
+        # refinements short-circuited because every vertex qualified
+        T = random_tournament(20, 1)
+        P = Partition.from_members(20, range(8), range(8, 16), range(16, 20))
+        with pytest.raises(BadParams):
+            call(T, P)
+
+
 class TestKConnectors:
     def test_hub_is_connector(self):
         T = extremal_theorem1_odd(5)  # n = 23, hub = 22
