@@ -21,8 +21,8 @@ from . import __version__, sampling
 from .core import Tournament, read_trn1, semidegrees, write_trn1
 from .errors import (BadConfig, BadParams, DiagonalNonzero, EmptyPart,
                      InvalidCertificate, PairViolation, SubsetOutOfRange,
-                     TooLarge, Trn1ParseError)
-from .generators import FAMILIES, ExtremalSpec
+                     TooLarge, Trn1ParseError, check_integer, check_probability)
+from .generators import _BUILDERS, FAMILIES, ExtremalSpec
 from .hamilton import HamiltonCertificate, check_certificate, is_hamiltonian
 from .sampling import (SamplePlan, estimate_hamiltonian_probability,
                        theoretical_bound)
@@ -36,6 +36,9 @@ EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_CERTIFICATE = 5
+
+# every generator family's parameter names, each one a `gen` flag: k, m, n, t
+_GEN_PARAMS = sorted({name for _, names in _BUILDERS.values() for name in names})
 
 
 @dataclass
@@ -55,32 +58,28 @@ class ExperimentConfig:
     def __post_init__(self):
         # JSON can put any type in any field: a float seed would reach the
         # Philox key truncated, an int path would open() a file descriptor.
-        # A bool p passes the type check and fails the (0,1) range check.
-        if not (isinstance(self.p_values, list)
-                and all(isinstance(p, (int, float)) for p in self.p_values)):
-            raise BadConfig(f"p_values must be a list of numbers, got {self.p_values!r}")
-        for name in ("t", "trials", "master_seed", "seed"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, int)) and not (
-                    name == "seed" and value is None):
-                raise BadConfig(f"{name} must be an integer, got {value!r}")
+        # The numbers go through the package's shared checks; the family's
+        # params are checked when the spec builds.
+        if not isinstance(self.p_values, list) or not self.p_values:
+            raise BadConfig(f"p_values must be a non-empty list, got {self.p_values!r}")
         for name in ("family", "tournament_path", "output_path"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise BadConfig(f"{name} must be a string, got {value!r}")
         if not isinstance(self.params, dict):
             raise BadConfig(f"params must be an object, got {self.params!r}")
-        if not self.p_values:
-            raise BadConfig("config needs at least one p value")
-        for p in self.p_values:
-            if not 0.0 < p < 1.0:
-                raise BadConfig(f"p values must be in (0,1), got {p}")
-        if self.trials < 1:
-            raise BadConfig(f"trials must be >= 1, got {self.trials}")
-        if self.t < 1:
-            raise BadConfig(f"t must be >= 1, got {self.t}")
         if (self.family is None) == (self.tournament_path is None):
             raise BadConfig("config needs exactly one of 'family' or 'tournament_path'")
+        try:
+            for p in self.p_values:
+                check_probability(p, "p values")
+            check_integer("t", self.t, 1)
+            check_integer("trials", self.trials, 1)
+            check_integer("master_seed", self.master_seed)
+            if self.seed is not None:
+                check_integer("seed", self.seed)
+        except BadParams as exc:
+            raise BadConfig(str(exc)) from None
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
@@ -100,13 +99,13 @@ class ExperimentConfig:
         return ExtremalSpec(self.family, self.params, self.seed).build()
 
 
-def run_sweep(config: ExperimentConfig, threads: int | None = None) -> dict:
+def run_sweep(config: ExperimentConfig) -> dict:
     """Execute the sweep and return the SweepReport as a plain dict."""
     T = config.load_tournament()
     rows = []
     for p in config.p_values:
         plan = SamplePlan(p=p, trials=config.trials, master_seed=config.master_seed)
-        est = estimate_hamiltonian_probability(T, plan, threads=threads)
+        est = estimate_hamiltonian_probability(T, plan)
         bound = theoretical_bound(T.n, config.t, p)
         row = est.to_json_dict()
         row["bound"] = bound.bound_value
@@ -148,11 +147,9 @@ def write_sweep_report(report: dict, base_path: str) -> tuple[str, str]:
 
 
 def _gen_spec(args) -> ExtremalSpec:
-    params: dict = {}
-    for name in ("k", "m", "n", "t"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
+    """The flags given; a flag the family does not take fails the build."""
+    params = {name: getattr(args, name) for name in _GEN_PARAMS
+              if getattr(args, name) is not None}
     return ExtremalSpec(args.family, params, args.seed)
 
 
@@ -198,7 +195,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_exact(args) -> int:
     for p in args.p:
-        sampling.check_probability(p)
+        check_probability(p)
     T = read_trn1(args.file)
     counts = sampling.hamiltonian_subset_size_counts(T)
     rows = [{"p": p, "probability": sampling.probability_from_counts(counts, p)}
@@ -274,10 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a tournament family into a TRN1 file")
     p_gen.add_argument("family", choices=FAMILIES)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--t", type=int)
+    for name in _GEN_PARAMS:
+        p_gen.add_argument(f"--{name}", type=int)
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)

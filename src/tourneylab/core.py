@@ -3,8 +3,9 @@
 A tournament on n vertices is stored as a dense n x n uint8 orientation
 matrix with adj[i][j] = 1 iff the edge between i and j points i -> j.
 Rows are additionally available as Python-int bitsets (one n-bit integer
-per vertex) which is what every reachability kernel in this package runs
-on: an OR of neighborhood bitsets touches n/64 machine words.
+per vertex), on which the single-subset reachability searches run: an OR
+of neighborhood bitsets touches n/64 machine words. The exact counts
+sweep int32 numpy masks instead, and the estimator reads scores.
 
 Vertices are dense integers 0..n-1. Instances are immutable after
 construction and safe to share across threads.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import iter_bits, mask_of, rows_to_masks
-from .errors import DiagonalNonzero, PairViolation, SubsetOutOfRange, Trn1ParseError
+from .errors import DiagonalNonzero, PairViolation, SubsetOutOfRange, TooLarge, Trn1ParseError
 
 MAX_VERTICES = 1 << 16
 
@@ -242,12 +243,10 @@ def parse_trn1(text: str) -> Tournament:
 def _trn1_cells(text: str) -> np.ndarray:
     """The 0/1 matrix of TRN1 text; its own function so that the list of
     lines is freed before the invariant check runs."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text:
         raise Trn1ParseError(1, "empty file")
-    header = lines[0].split()
+    end = text.find("\n")
+    header = (text if end < 0 else text[:end]).split()
     if len(header) != 2 or header[0] != "TRN1":
         raise Trn1ParseError(1, "expected header 'TRN1 <n>'")
     try:
@@ -256,6 +255,11 @@ def _trn1_cells(text: str) -> np.ndarray:
         raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer") from None
     if n < 1:
         raise Trn1ParseError(1, f"vertex count must be >= 1, got {n}")
+    if n > MAX_VERTICES:  # before the split: the rows alone would be n^2 bytes
+        raise TooLarge(n, MAX_VERTICES)
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if len(lines) < n + 1:
         raise Trn1ParseError(len(lines) + 1, f"expected {n} matrix rows, found {len(lines) - 1}")
     if len(lines) > n + 1:

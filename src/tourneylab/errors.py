@@ -1,6 +1,9 @@
-"""Exception taxonomy. The CLI maps each family to a distinct exit code."""
+"""Exception taxonomy, which the CLI maps to distinct exit codes, and the two
+input rules every module shares: check_integer and check_probability."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class TourneyLabError(Exception):
@@ -29,12 +32,12 @@ class SubsetOutOfRange(TourneyLabError):
 
 
 class TooLarge(TourneyLabError):
-    """Input exceeds the size cap of an exhaustive operation."""
+    """Input exceeds a size cap: MAX_VERTICES, or an exhaustive operation's."""
 
     def __init__(self, n: int, limit: int):
         self.n = n
         self.limit = limit
-        super().__init__(f"n = {n} exceeds the exhaustive-computation cap {limit}")
+        super().__init__(f"n = {n} exceeds the size cap {limit}")
 
 
 class BadParams(TourneyLabError):
@@ -63,3 +66,25 @@ class Trn1ParseError(TourneyLabError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+def check_integer(name: str, value, minimum: int | None = None,
+                  maximum: int | None = None) -> None:
+    """Raise BadParams unless ``value`` is an integer in [minimum, maximum].
+
+    Python and numpy integers pass. A bool, a float or a string does not:
+    it would reach its use truncated or parsed (seed 1.5 would run as 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise BadParams(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise BadParams(f"{name} must be <= {maximum}, got {value}")
+
+
+def check_probability(p, name: str = "inclusion probability") -> None:
+    """Raise BadParams unless ``p`` is a real number, not a bool, in (0, 1)."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise BadParams(f"{name} must be a real number, got {p!r}")
+    if not 0.0 < p < 1.0:
+        raise BadParams(f"{name} must be in (0,1), got {p}")

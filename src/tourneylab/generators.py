@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Tournament, semidegrees
-from .errors import BadParams
+from .errors import BadParams, check_integer
 
 
 def rotational_tournament(k: int) -> Tournament:
@@ -137,8 +137,17 @@ def extremal_main(n: int, t: int) -> Tournament:
     return Tournament(adj, _trusted=True)
 
 
-FAMILIES = ("rotational", "near-regular", "transitive", "random",
-            "theorem1-even", "theorem1-odd", "main")
+# family -> (builder, its integer parameters in call order); random also takes the seed
+_BUILDERS = {
+    "rotational": (rotational_tournament, ("k",)),
+    "near-regular": (near_regular_tournament, ("m",)),
+    "transitive": (transitive_tournament, ("n",)),
+    "random": (random_tournament, ("n",)),
+    "theorem1-even": (extremal_theorem1_even, ("k",)),
+    "theorem1-odd": (extremal_theorem1_odd, ("k",)),
+    "main": (extremal_main, ("n", "t")),
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -150,26 +159,16 @@ class ExtremalSpec:
     seed: int | None = None
 
     def build(self) -> Tournament:
-        p = self.params
-        try:
-            if self.family == "rotational":
-                return rotational_tournament(int(p["k"]))
-            if self.family == "near-regular":
-                return near_regular_tournament(int(p["m"]))
-            if self.family == "transitive":
-                return transitive_tournament(int(p["n"]))
-            if self.family == "random":
-                if self.seed is None:
-                    raise BadParams("random family requires a seed")
-                return random_tournament(int(p["n"]), self.seed)
-            if self.family == "theorem1-even":
-                return extremal_theorem1_even(int(p["k"]))
-            if self.family == "theorem1-odd":
-                return extremal_theorem1_odd(int(p["k"]))
-            if self.family == "main":
-                return extremal_main(int(p["n"]), int(p["t"]))
-        except KeyError as exc:
-            raise BadParams(f"family {self.family!r} missing parameter {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise BadParams(f"family {self.family!r}: bad parameter value ({exc})") from None
-        raise BadParams(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        if self.family not in _BUILDERS:
+            raise BadParams(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        builder, names = _BUILDERS[self.family]
+        if set(self.params) != set(names):
+            raise BadParams(f"family {self.family!r} takes exactly the parameters "
+                            f"{names}, got {tuple(self.params)}")
+        args = [self.params[name] for name in names]
+        for name, value in zip(names, args):
+            check_integer(name, value)
+        if self.family == "random":
+            check_integer("random family's seed", self.seed, 0)
+            args.append(self.seed)
+        return builder(*args)

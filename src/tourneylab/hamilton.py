@@ -302,24 +302,12 @@ def _prefix_dtype(n: int) -> np.dtype:
     return np.dtype(np.int64 if n * n >= 1 << 31 else np.int32)
 
 
-def _shifted_adjacency(T: Tournament) -> np.ndarray:
-    """M = adj^T - n*I as float32, the right factor of hamiltonian_batch.
-
-    Built once per estimate and shared read-only by every block."""
-    n = T.n
-    shifted = T.adj.T.astype(np.float32)
-    np.fill_diagonal(shifted, -n)
-    return shifted
-
-
-def hamiltonian_batch(T: Tournament, inclusion: np.ndarray, *,
-                      _shifted: np.ndarray | None = None) -> np.ndarray:
+def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     """Per-row Hamiltonicity of T[S] for a batch of subsets of V(T).
 
     ``inclusion`` is a (batch, n) boolean matrix; row r encodes subset
     S_r. Returns a boolean vector: T[S_r] Hamiltonian, with |S| <= 2
-    counting as non-Hamiltonian. ``_shifted`` is _shifted_adjacency(T),
-    passed in by callers that run many batches on one T.
+    counting as non-Hamiltonian.
 
     Kernel: one float32 product with M = adj^T - n*I gives each member v
     of S its score inside S minus n (in [-n, -1]) and each non-member its
@@ -338,7 +326,9 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray, *,
     if inclusion.ndim != 2 or inclusion.shape[1] != T.n:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")
     n = T.n
-    shifted = _shifted_adjacency(T) if _shifted is None else _shifted
+    # one n x n copy per call, small beside the (batch, n) x (n, n) product
+    shifted = T.adj.T.astype(np.float32)
+    np.fill_diagonal(shifted, -n)
     dtype = _prefix_dtype(n)
     prefix = (inclusion.astype(np.float32) @ shifted).astype(dtype)
     prefix.sort(axis=1)

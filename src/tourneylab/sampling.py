@@ -20,7 +20,6 @@ returns (x >> 11) * 2^-53, so the counts equal those of the uniform draw.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,23 +29,18 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import Tournament, VertexSubset
-from .errors import BadParams, TooLarge
-from .hamilton import _shifted_adjacency, hamiltonian_batch
+from .errors import BadParams, TooLarge, check_integer, check_probability
+from .hamilton import hamiltonian_batch
 
 EXACT_MAX_N = 20
 CLOSURE_CHUNK = 1 << 14
 BLOCK_TRIALS = 2048
+_MAX_SEED = (1 << 64) - 1  # the Philox key holds the master seed in one 64-bit word
 
 # Two-sided normal quantiles: 95% for reported intervals, 99.7% for the
 # oracle-agreement envelope used in the acceptance suite.
 Z95 = 1.959963984540054
 Z997 = 2.9677379253417944
-
-
-def check_probability(p: float) -> None:
-    """Raise BadParams unless p is an inclusion probability in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise BadParams(f"inclusion probability must be in (0,1), got {p}")
 
 
 @dataclass(frozen=True)
@@ -58,19 +52,9 @@ class SamplePlan:
     master_seed: int
 
     def __post_init__(self):
-        # bool passes as a number, and a float seed would reach the Philox
-        # key truncated: master_seed=1.5 would give the seed-1 counts.
-        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
-            raise BadParams(f"inclusion probability must be a real number, got {self.p!r}")
-        for name in ("trials", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise BadParams(f"{name} must be an integer, got {value!r}")
         check_probability(self.p)
-        if self.trials < 1:
-            raise BadParams(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise BadParams("master_seed must fit in 64 bits")
+        check_integer("trials", self.trials, 1)
+        check_integer("master_seed", self.master_seed, 0, _MAX_SEED)
 
 
 @dataclass(frozen=True)
@@ -111,8 +95,8 @@ class BoundSpec:
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Score interval for a binomial proportion; well-behaved near 0 and 1."""
-    if trials < 1:
-        raise BadParams("trials must be >= 1")
+    check_integer("trials", trials, 1)
+    check_integer("successes", successes, 0, trials)
     ph = successes / trials
     denom = 1.0 + z * z / trials
     center = (ph + z * z / (2 * trials)) / denom
@@ -147,6 +131,8 @@ def _word_threshold(p: float) -> np.uint64:
 
 def trial_subset(n: int, p: float, master_seed: int, trial_index: int) -> VertexSubset:
     """The exact subset estimate_hamiltonian_probability uses for one trial."""
+    check_integer("master_seed", master_seed, 0, _MAX_SEED)
+    check_integer("trial_index", trial_index, 0)
     block, row = divmod(trial_index, BLOCK_TRIALS)
     words = _block_uniforms(master_seed, block, row + 1, n)
     return VertexSubset(n, np.flatnonzero(words[row] < _word_threshold(p)))
@@ -160,8 +146,7 @@ def thread_cap() -> int:
             cap = int(raw)
         except ValueError:
             raise BadParams(f"TOURNEYLAB_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise BadParams(f"TOURNEYLAB_THREADS must be >= 1, got {cap}")
+        check_integer("TOURNEYLAB_THREADS", cap, 1)
         return cap
     return os.cpu_count() or 1
 
@@ -180,7 +165,6 @@ def estimate_hamiltonian_probability(
     n = T.n
     n_blocks = (plan.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     start = time.perf_counter()
-    shifted = _shifted_adjacency(T)
     threshold = _word_threshold(plan.p)
 
     def run_block(b: int) -> int:
@@ -189,7 +173,7 @@ def estimate_hamiltonian_probability(
         # lifts a block's heap peak past the C allocator's trim threshold,
         # and each block then faults its pages in afresh.
         inclusion = _block_uniforms(plan.master_seed, b, rows, n) < threshold
-        return int(hamiltonian_batch(T, inclusion, _shifted=shifted).sum())
+        return int(hamiltonian_batch(T, inclusion).sum())
 
     if workers == 1 or n_blocks == 1:
         successes = sum(run_block(b) for b in range(n_blocks))
@@ -276,8 +260,8 @@ def uniform_subset_probability(T: Tournament) -> float:
 def theoretical_bound(n: int, t: int, p: float) -> BoundSpec:
     """The closed-form probability target for tournaments with the requisite
     minimum semidegree; exponent improves to t+1 when n - t = 1 mod 4."""
-    if t < 1:
-        raise BadParams(f"t must be >= 1, got {t}")
+    check_integer("n", n, 1)
+    check_integer("t", t, 1)
     check_probability(p)
     improved = (n - t) % 4 == 1
     expo = t + 1 if improved else t

@@ -23,7 +23,7 @@ from math import ceil, log, sqrt
 import numpy as np
 
 from .core import Tournament, VertexSubset
-from .errors import BadParams, EmptyPart
+from .errors import BadParams, EmptyPart, check_integer, check_probability
 from .hamilton import hamiltonian_on_subset, reach_on_mask
 
 
@@ -214,8 +214,8 @@ def _check_cleaning_eps(eps: float) -> None:
 def _check_connector_params(k: int, t: int = 1) -> None:
     """k < 1 makes every vertex a connector; t < 1 removes the room for
     moved vertices that refinement assumes."""
-    if k < 1 or t < 1:
-        raise BadParams(f"need t >= 1 and k >= 1, got t={t} k={k}")
+    check_integer("k", k, 1)
+    check_integer("t", t, 1)
 
 
 def clean_to_good_partition(
@@ -407,13 +407,13 @@ def hamiltonicity_from_no_bad_events(T: Tournament, P: Partition, S: VertexSubse
 
 def low_indegree_census(T: Tournament, beta: float) -> int:
     """How many vertices have in-degree at most beta * n."""
-    if not 0.0 < beta < 1.0:
-        raise BadParams(f"beta must be in (0,1), got {beta}")
+    check_probability(beta, "beta")
     return int((T.in_degrees() <= beta * T.n).sum())
 
 
 def default_connector_k(p: float, t: int, sigma: float = 0.01) -> int:
     """Default connector threshold: ceil(2 log((t+1)/sigma) base 1/(1-p^2))."""
-    if not 0.0 < p < 1.0 or not 0.0 < sigma < 1.0 or t < 1:
-        raise BadParams("need p, sigma in (0,1) and t >= 1")
+    check_probability(p, "p")
+    check_integer("t", t, 1)
+    check_probability(sigma, "sigma")
     return ceil(2 * log((t + 1) / sigma) / log(1 / (1 - p * p)))

@@ -43,6 +43,13 @@ class TestGen:
         assert main(["gen", "rotational", "--k", "0",
                      "--out", str(tmp_path / "x.trn")]) == EXIT_BAD_PARAMS
 
+    def test_flag_the_family_does_not_take(self, tmp_path, capsys):
+        # before the family table, --n was silently ignored for rotational
+        out = tmp_path / "x.trn"
+        assert main(["gen", "rotational", "--k", "3", "--n", "5",
+                     "--out", str(out)]) == EXIT_BAD_PARAMS
+        assert not out.exists()
+
 
 class TestEstimate:
     def config(self, tmp_path, **overrides):
@@ -121,6 +128,16 @@ class TestEstimate:
         cfg = self.config(tmp_path, **overrides)
         assert main(["estimate", "--config", cfg]) == EXIT_BAD_PARAMS
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [
+        {"n": 31.5, "t": 1},        # ran at n = 31 and echoed 31.5
+        {"n": "31", "t": 1},
+        {"n": 31, "t": 1, "k": 4},  # k was ignored
+    ])
+    def test_config_params_checked(self, tmp_path, capsys, params):
+        cfg = self.config(tmp_path, params=params)
+        assert main(["estimate", "--config", cfg]) == EXIT_BAD_PARAMS
+        assert capsys.readouterr().out == ""
 
     def test_missing_config_file(self, tmp_path):
         assert main(["estimate", "--config", str(tmp_path / "none.json")]) == EXIT_IO
@@ -257,6 +274,12 @@ class TestCheck:
     def test_invariant_violation(self, tmp_path):
         trn = write(tmp_path / "bad.trn", "TRN1 3\n010\n101\n100\n")
         assert main(["check", "--file", trn]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("n, code", [(65537, EXIT_BAD_PARAMS), (65536, EXIT_PARSE)])
+    def test_header_n_capped_before_rows(self, tmp_path, capsys, n, code):
+        # past MAX_VERTICES the header alone decides; no matrix is allocated
+        trn = write(tmp_path / "big.trn", f"TRN1 {n}\n")
+        assert main(["check", "--file", trn]) == code
 
     def test_missing_file(self, tmp_path):
         assert main(["check", "--file", str(tmp_path / "nope.trn")]) == EXIT_IO

@@ -193,3 +193,13 @@ class TestExtremalSpec:
     def test_non_numeric_param(self):
         with pytest.raises(BadParams):
             ExtremalSpec("rotational", {"k": "lots"}).build()
+
+    @pytest.mark.parametrize("family, params", [
+        ("main", {"n": 31.5, "t": 1}),     # built n = 31
+        ("main", {"n": "31", "t": 1}),     # parsed to n = 31
+        ("main", {"n": True, "t": 1}),     # ran as n = 1
+        ("rotational", {"k": 3, "n": 99}),  # n was ignored
+    ])
+    def test_params_are_named_integers(self, family, params):
+        with pytest.raises(BadParams, match="must be an integer|takes exactly"):
+            ExtremalSpec(family, params).build()

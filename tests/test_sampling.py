@@ -290,3 +290,19 @@ class TestTheoreticalBound:
             theoretical_bound(10, 0, 0.5)
         with pytest.raises(BadParams):
             theoretical_bound(10, 1, 0.0)
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("call", [
+        lambda: trial_subset(30, 0.5, 1.5, 5),    # returned seed 1's subset
+        lambda: trial_subset(30, 0.5, 1, -1),     # raw OverflowError
+        lambda: trial_subset(30, 0.5, 1, 2.7),    # raw TypeError
+        lambda: trial_subset(30, 0.5, True, 5),
+        lambda: theoretical_bound(203, 1.5, 0.5),  # 0.646 from a fractional exponent
+        lambda: theoretical_bound(203.0, 1, 0.5),
+        lambda: wilson_interval(5.5, 10),
+        lambda: wilson_interval(11, 10),          # complex square root
+    ])
+    def test_non_integer_or_out_of_range_rejected(self, call):
+        with pytest.raises(BadParams):
+            call()

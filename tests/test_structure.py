@@ -205,6 +205,25 @@ class TestConnectorParams:
             call(T, P)
 
 
+class TestSharedChecks:
+    @pytest.mark.parametrize("call", [
+        lambda T, P: default_connector_k(0.5, 1.5),
+        lambda T, P: default_connector_k(0.5, 1, "0.01"),
+        lambda T, P: refine_partition(T, P, 2.5, 1),
+        lambda T, P: refine_partition(T, P, 3, 1.5),
+        lambda T, P: k_connectors(T, P, 2.5),
+        lambda T, P: k_connectors(T, P, True),
+        lambda T, P: low_indegree_census(T, "0.3"),
+    ])
+    def test_non_integer_or_non_real_rejected(self, call):
+        # before the shared checks a fractional k or t ran as a threshold,
+        # and a string met a raw TypeError
+        T = random_tournament(20, 1)
+        P = Partition.from_members(20, range(8), range(8, 16), range(16, 20))
+        with pytest.raises(BadParams):
+            call(T, P)
+
+
 class TestKConnectors:
     def test_hub_is_connector(self):
         T = extremal_theorem1_odd(5)  # n = 23, hub = 22
