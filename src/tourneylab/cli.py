@@ -164,7 +164,10 @@ def _cmd_gen(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="ascii") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise BadConfig(f"config is not ASCII: {exc}") from None
         if not isinstance(data, dict):
             raise BadConfig("config must be a JSON object")
     else:
@@ -243,7 +246,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     T = read_trn1(args.file)
-    with open(args.certificate, "r", encoding="ascii") as fh:
+    # as in read_trn1, a non-ASCII byte decodes to a lone surrogate, which
+    # from_text rejects as a token that is not a vertex index
+    with open(args.certificate, "r", encoding="ascii", errors="surrogateescape") as fh:
         cert = HamiltonCertificate.from_text(fh.read())
     try:
         check_certificate(T, cert)

@@ -2,6 +2,9 @@
 random, and the three extremal block constructions whose sampled
 Hamiltonicity probabilities the estimator reproduces.
 
+Every generator checks its order against MAX_VERTICES before it allocates
+anything, the block families before they build their parts.
+
 Block layouts are contiguous: extremal generators place A first, then B,
 then X (or the hub vertex), and expose the ranges so callers can build
 partitions and cuts without re-deriving offsets.
@@ -13,8 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Tournament, semidegrees
-from .errors import BadParams, check_integer
+from .core import MAX_VERTICES, Tournament, semidegrees
+from .errors import BadParams, TooLarge, check_integer
+
+
+def _check_order(n: int) -> None:
+    """Raise TooLarge for an order past MAX_VERTICES, before any n x n array."""
+    if n > MAX_VERTICES:
+        raise TooLarge(n, MAX_VERTICES)
 
 
 def rotational_tournament(k: int) -> Tournament:
@@ -22,14 +31,19 @@ def rotational_tournament(k: int) -> Tournament:
     if k < 1:
         raise BadParams(f"rotational tournament needs k >= 1, got {k}")
     n = 2 * k + 1
-    d = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return Tournament(((d >= 1) & (d <= k)).astype(np.uint8), _trusted=True)
+    _check_order(n)
+    # vertex 0's row twice over: row i of the matrix is row[n - i:2n - i]
+    row = np.zeros(2 * n, dtype=np.uint8)
+    row[1:k + 1] = row[n + 1:n + k + 1] = 1
+    windows = np.lib.stride_tricks.sliding_window_view(row, n)
+    return Tournament(windows[n:0:-1].copy(), _trusted=True)
 
 
 def transitive_tournament(n: int) -> Tournament:
     """i -> j iff i < j; the unique acyclic tournament up to isomorphism."""
     if n < 1:
         raise BadParams(f"transitive tournament needs n >= 1, got {n}")
+    _check_order(n)
     return Tournament(np.triu(np.ones((n, n), dtype=np.uint8), 1), _trusted=True)
 
 
@@ -37,6 +51,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     """Each pair oriented by an independent fair coin; same seed, same matrix."""
     if n < 1:
         raise BadParams(f"random tournament needs n >= 1, got {n}")
+    _check_order(n)
     rng = np.random.default_rng(seed)
     adj = np.zeros((n, n), dtype=np.uint8)
     iu = np.triu_indices(n, 1)
@@ -55,6 +70,7 @@ def near_regular_tournament(m: int) -> Tournament:
     """
     if m < 1:
         raise BadParams(f"near-regular tournament needs m >= 1, got {m}")
+    _check_order(m)
     if m == 1:
         return Tournament(np.zeros((1, 1), dtype=np.uint8), _trusted=True)
     if m == 2:
@@ -79,6 +95,7 @@ def extremal_theorem1_even(k: int) -> Tournament:
     if k < 1:
         raise BadParams(f"even construction needs k >= 1, got {k}")
     h = 2 * k + 1
+    _check_order(2 * h)
     half = rotational_tournament(k).adj
     adj = np.zeros((2 * h, 2 * h), dtype=np.uint8)
     adj[:h, :h] = half
@@ -98,6 +115,7 @@ def extremal_theorem1_odd(k: int) -> Tournament:
         raise BadParams(f"odd construction needs k >= 1, got {k}")
     h = 2 * k + 1
     n = 2 * h + 1
+    _check_order(n)
     half = rotational_tournament(k).adj
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[:h, :h] = half
@@ -127,6 +145,7 @@ def extremal_main(n: int, t: int) -> Tournament:
     Every B -> A edge is absent.
     """
     ra, rb, rx = extremal_main_blocks(n, t)
+    _check_order(n)
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[np.ix_(ra, ra)] = near_regular_tournament(len(ra)).adj
     adj[np.ix_(rb, rb)] = near_regular_tournament(len(rb)).adj

@@ -159,9 +159,12 @@ def estimate_hamiltonian_probability(
     Each trial samples S by independent Bernoulli(p) draws and counts a
     success iff T[S] is Hamiltonian (|S| <= 2 never succeeds). Trials are
     processed in fixed blocks through the vectorized score-sequence
-    kernel; the success count is invariant to the worker count.
+    kernel; the success count is invariant to the worker count, which is
+    ``threads`` (an integer >= 1) or, when that is None, thread_cap().
     """
-    workers = thread_cap() if threads is None else max(1, threads)
+    if threads is not None:
+        check_integer("threads", threads, 1)
+    workers = thread_cap() if threads is None else threads
     n = T.n
     n_blocks = (plan.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     start = time.perf_counter()

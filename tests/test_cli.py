@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,29 @@ class TestGen:
         out = tmp_path / "x.trn"
         assert main(["gen", "rotational", "--k", "3", "--n", "5",
                      "--out", str(out)]) == EXIT_BAD_PARAMS
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, flags", [
+        ("transitive", ["--n", "65537"]),
+        ("transitive", ["--n", "70000"]),
+        ("random", ["--n", "70000", "--seed", "1"]),
+        ("rotational", ["--k", "40000"]),
+        ("near-regular", ["--m", "70000"]),
+        ("theorem1-even", ["--k", "20000"]),
+        ("theorem1-odd", ["--k", "20000"]),
+        ("main", ["--n", "70000", "--t", "1"]),
+    ])
+    def test_over_cap_exits_2_before_allocating(self, tmp_path, capsys, family, flags):
+        out = tmp_path / "big.trn"
+        tracemalloc.start()
+        try:
+            code = main(["gen", family, *flags, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_BAD_PARAMS
+        assert "size cap 65536" in capsys.readouterr().err
+        assert peak < 1 << 20
         assert not out.exists()
 
 
@@ -146,6 +170,13 @@ class TestEstimate:
         cfg = write(tmp_path / "cfg.json", "[1, 2]")
         assert main(["estimate", "--config", cfg, "--p", "0.5"]) == EXIT_BAD_PARAMS
         assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_non_ascii_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"family": "ma\xc3\xa9in", "p_values": [0.5]}\n')
+        assert main(["estimate", "--config", str(path)]) == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not ASCII") and err.count("\n") == 1
 
     def test_file_without_config(self, tmp_path, capsys):
         trn = tmp_path / "t.trn"
@@ -255,6 +286,15 @@ class TestVerify:
         cert = write(tmp_path / "c.txt", "0,x,2\n")
         assert main(["verify", "--file", trn, "--certificate", cert]) == EXIT_CERTIFICATE
         assert "vertex index" in capsys.readouterr().err
+
+    def test_non_ascii_certificate(self, tmp_path, capsys):
+        trn = write(tmp_path / "tri.trn", TRIANGLE_TRN1)
+        cert = tmp_path / "c.txt"
+        cert.write_bytes(b"0,1,2,\xc3\xa9\n")
+        assert main(["verify", "--file", trn, "--certificate", str(cert)]) == EXIT_CERTIFICATE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "vertex index" in err
 
     def test_generated_cycle_round_trips(self, tmp_path):
         trn = tmp_path / "rot.trn"

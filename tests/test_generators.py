@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from tourneylab import (ExtremalSpec, VertexSubset, brute_force_hamiltonian,
                         random_tournament, rotational_tournament, scc,
                         semidegrees, transitive_tournament, validate)
 from tourneylab.errors import BadParams
+from tourneylab.generators import FAMILIES
 
 
 class TestRotational:
@@ -203,3 +207,46 @@ class TestExtremalSpec:
     def test_params_are_named_integers(self, family, params):
         with pytest.raises(BadParams, match="must be an integer|takes exactly"):
             ExtremalSpec(family, params).build()
+
+
+# SHA-256 of each family's matrices over the grid below (random also over
+# seeds 0, 1 and 7): a faster builder must give the same matrices
+PINNED_GRID = {
+    "rotational": [{"k": k} for k in range(1, 40)],
+    "near-regular": [{"m": m} for m in range(1, 25)],
+    "transitive": [{"n": n} for n in range(1, 11)],
+    "random": [{"n": n} for n in (1, 2, 3, 7, 16)],
+    "theorem1-even": [{"k": k} for k in range(1, 7)],
+    "theorem1-odd": [{"k": k} for k in range(1, 7)],
+    "main": [{"n": n, "t": t} for n in range(7, 21) for t in range(1, n - 5)],
+}
+PINNED_SHA256 = {
+    "rotational": "f6a87db4fb1fb111e5d95bcfa9389263bbcfa1d6583505f9914a7550d7a8b313",
+    "near-regular": "98b5bcc63c7b93c50f17fdc63a5945e7f6660c0aa794c827a714720e16592cdb",
+    "transitive": "fa05de7fe47fdfe756c99e0ff7a4d45374f3447753657470c136b07b460c3e68",
+    "random": "7098c8d23b4e127e1e92d0d1c0c4a23b4fbd3f252139792b0f799e0c3a05c963",
+    "theorem1-even": "69132571b26f32ee090d1b4ad5294f1eb2c7f8aa2515e527ed1e6beb5f9f2f12",
+    "theorem1-odd": "6847832d19edb7d450a08dd3e68b9887e39775d249838d16d81deaf356ba3d82",
+    "main": "34138f9d4b80d38b896df3eefbf8271b5135f13e37a3c410256ce7aba1157533",
+}
+
+
+class TestPinnedMatrices:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_grid_matches_recorded_hash(self, family):
+        digest = hashlib.sha256()
+        for params in PINNED_GRID[family]:
+            for seed in ((0, 1, 7) if family == "random" else (None,)):
+                digest.update(ExtremalSpec(family, params, seed).build().adj.tobytes())
+        assert digest.hexdigest() == PINNED_SHA256[family]
+
+
+class TestRotationalMemory:
+    def test_one_matrix_and_no_index_array(self):
+        tracemalloc.start()
+        try:
+            T = rotational_tournament(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * T.n ** 2

@@ -303,3 +303,41 @@ class TestBatchKernel:
                 if len(members) >= 3:
                     sub = induced(T, VertexSubset(5, members))
                     assert batch[m] == brute_force_hamiltonian(sub)
+
+
+class TestPathAndAbsorb:
+    def test_present_iff_hamiltonian_on_all_five_vertex_tournaments(self):
+        for code in range(2 ** 10):
+            T = tournament_from_bits(5, code)
+            assert (hamilton_cycle(T) is None) == (not is_hamiltonian(T))
+
+    def test_present_iff_hamiltonian_on_random_orders(self):
+        for n in range(3, 41):
+            for seed in range(5):
+                T = random_tournament(n, 1000 * n + seed)
+                assert (hamilton_cycle(T) is None) == (not is_hamiltonian(T))
+
+    def test_source_vertex_leaves_nothing_to_close(self):
+        # vertex 0 of the transitive tournament beats every other vertex
+        assert hamilton_cycle(transitive_tournament(7)) is None
+
+    def test_dominated_tail_without_a_source(self):
+        # every vertex has in- and out-degree >= 2, yet A -> B: the cycle
+        # closes inside one half and the rest of the path never gets back
+        T = extremal_theorem1_even(2)
+        assert T.in_degrees().min() >= 2
+        assert hamilton_cycle(T) is None
+
+    def test_certificates_at_n_2000(self):
+        n = 2000
+        adj = np.array(extremal_main(n, 2).adj)
+        ra, rb, _ = extremal_main_blocks(n, 2)
+        rng = np.random.default_rng(0)
+        a = rng.integers(ra.start, ra.stop, n)
+        b = rng.integers(rb.start, rb.stop, n)
+        adj[a, b] = 0
+        adj[b, a] = 1
+        for T in (random_tournament(n, 5), Tournament(adj)):
+            cert = hamilton_cycle(T)
+            assert cert is not None
+            check_certificate(T, cert)

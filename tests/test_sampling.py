@@ -306,3 +306,18 @@ class TestCountArguments:
     def test_non_integer_or_out_of_range_rejected(self, call):
         with pytest.raises(BadParams):
             call()
+
+
+class TestThreadsArgument:
+    @pytest.mark.parametrize("threads", [0, -3, True, 2.5, "2"])
+    def test_bad_worker_counts_rejected(self, threads):
+        # 0, -3 and True ran as one worker, 2.5 ran, "2" raised TypeError
+        plan = SamplePlan(p=0.5, trials=100, master_seed=1)
+        with pytest.raises(BadParams, match="threads"):
+            estimate_hamiltonian_probability(near_regular_tournament(5), plan, threads=threads)
+
+    def test_none_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("TOURNEYLAB_THREADS", "0")
+        plan = SamplePlan(p=0.5, trials=100, master_seed=1)
+        with pytest.raises(BadParams, match="TOURNEYLAB_THREADS"):
+            estimate_hamiltonian_probability(near_regular_tournament(5), plan)
