@@ -44,7 +44,11 @@ def transitive_tournament(n: int) -> Tournament:
     if n < 1:
         raise BadParams(f"transitive tournament needs n >= 1, got {n}")
     _check_order(n)
-    return Tournament(np.triu(np.ones((n, n), dtype=np.uint8), 1), _trusted=True)
+    # n zeros then n - 1 ones: row i of the matrix is step[n - 1 - i:2n - 1 - i]
+    step = np.zeros(2 * n - 1, dtype=np.uint8)
+    step[n:] = 1
+    windows = np.lib.stride_tricks.sliding_window_view(step, n)
+    return Tournament(windows[::-1].copy(), _trusted=True)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -53,11 +57,16 @@ def random_tournament(n: int, seed: int) -> Tournament:
         raise BadParams(f"random tournament needs n >= 1, got {n}")
     _check_order(n)
     rng = np.random.default_rng(seed)
+    # one draw for all pairs, in row-major order over i < j: splitting it
+    # would change numpy's buffered stream, and so the matrix
+    bits = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8)
     adj = np.zeros((n, n), dtype=np.uint8)
-    iu = np.triu_indices(n, 1)
-    bits = rng.integers(0, 2, size=iu[0].size, dtype=np.uint8)
-    adj[iu] = bits
-    adj.T[iu] = 1 - bits
+    start = 0
+    for i in range(n - 1):
+        row = bits[start:start + n - 1 - i]
+        adj[i, i + 1:] = row
+        np.subtract(1, row, out=adj[i + 1:, i])
+        start += n - 1 - i
     return Tournament(adj, _trusted=True)
 
 

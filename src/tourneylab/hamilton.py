@@ -6,7 +6,8 @@ purpose:
 
 * ``is_hamiltonian`` — forward+backward bitset BFS from one vertex
   (``sampling.hamiltonian_subset_size_counts`` runs the same closure for
-  all 2^n vertex subsets at once, as numpy sweeps over int32 bitsets);
+  all 2^n vertex subsets at once over int32 bitsets, one gather per BFS
+  level from a table of the neighbourhood unions of every vertex set);
 * ``brute_force_hamiltonian`` — Held–Karp dynamic programming over
   (visited-subset, endpoint) states, the trust anchor for small n;
 * ``hamiltonian_batch`` — vectorized score-sequence test (a tournament is

@@ -2,8 +2,10 @@
 exact probabilities by subset enumeration, and the closed-form bounds.
 
 The exact route counts the strong subsets of each size for all 2^n
-subsets at once: each subset is an int32 bitset, and numpy sweeps grow
-its forward and backward reachability closures from its lowest member.
+subsets at once: each subset is an int32 bitset, and its forward and
+backward reachability closures grow from its lowest member by one gather
+per BFS level from a subset-union table (table[m] = the union of the out-
+or in-neighbourhoods of m's members, 2^n int32 entries each).
 It reads only adjacency bitsets, never scores, so it shares no code with
 the estimator's score kernel and referees it.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -197,47 +200,68 @@ def estimate_hamiltonian_probability(
     )
 
 
-def _closure(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """For each mask, the vertices of the mask reachable from its lowest
-    member along the ``rows`` adjacency bitsets.
+def _union_table(rows: list[int]) -> np.ndarray:
+    """table[m] = OR of rows[v] over the members v of m, for all 2^n masks.
 
-    Gauss–Seidel sweeps over v = 0..n-1: a mask whose closure holds v gains
-    v's neighbours inside the mask, and a vertex reached early in a sweep
-    already spreads later in the same sweep. Sweeps repeat until one
-    changes nothing.
+    Built in n slice steps: the masks in [2^v, 2^(v+1)) are the masks below
+    2^v with v added, so each half-table is the one before it OR rows[v].
+    """
+    table = np.zeros(1 << len(rows), dtype=np.int32)
+    for v, row in enumerate(rows):
+        np.bitwise_or(table[: 1 << v], row, out=table[1 << v : 2 << v])
+    return table
+
+
+def _closure(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """For each mask, the vertices of the mask reachable from its lowest
+    member along the adjacency bitsets that ``table`` (see _union_table)
+    unites: each step gathers the neighbours of everything reached so far,
+    one BFS level, and steps repeat until one adds nothing.
     """
     reached = masks & -masks
     while True:
-        before = reached.copy()
-        for v, row in enumerate(rows):
-            reached |= -((reached >> v) & 1) & row & masks
-        if np.array_equal(reached, before):
+        grown = table[reached]
+        grown &= masks
+        grown |= reached
+        if np.array_equal(grown, reached):
             return reached
+        reached = grown
+
+
+def _strong_masks(T: Tournament) -> Iterator[np.ndarray]:
+    """Yield, chunk by chunk, the int32 bitsets S of at least 3 vertices with
+    T[S] strong, over all 2^n subsets in increasing order (n <= 20).
+
+    The subsets are taken in chunks of CLOSURE_CHUNK, and a subset is strong
+    iff its forward and its backward closure from its lowest member (see
+    _closure) are the whole subset; the backward closure runs only on the
+    forward survivors.
+    """
+    n = T.n
+    if n > EXACT_MAX_N:
+        raise TooLarge(n, EXACT_MAX_N)
+    out_table = _union_table(T.out_masks)
+    in_table = _union_table(T.in_masks)
+    for start in range(0, 1 << n, CLOSURE_CHUNK):
+        masks = np.arange(start, min(start + CLOSURE_CHUNK, 1 << n), dtype=np.int32)
+        masks = masks[np.bitwise_count(masks) >= 3]
+        masks = masks[_closure(out_table, masks) == masks]
+        yield masks[_closure(in_table, masks) == masks]
 
 
 def hamiltonian_subset_size_counts(T: Tournament) -> np.ndarray:
     """counts[s] = number of s-element subsets S with T[S] Hamiltonian.
 
-    Decides strong connectivity for all 2^n subsets at once: the subsets
-    are int32 bitsets, taken in chunks of CLOSURE_CHUNK, and a subset is
-    strong iff its forward and its backward reachability closure from its
-    lowest member (see _closure) are the whole subset. The closure uses
-    adjacency bitsets only, no scores, so this path is disjoint from the
-    estimator's score kernel and doubles as the independent oracle for the
-    Monte Carlo route. Requires n <= 20.
+    Decides strong connectivity for all 2^n subsets at once (see
+    _strong_masks): a subset's closure grows by one gather per BFS level
+    from a table of the out- (or in-) neighbourhood unions of all 2^n
+    vertex sets. The closure uses adjacency bitsets only, no scores, so
+    this path is disjoint from the estimator's score kernel and doubles as
+    the independent oracle for the Monte Carlo route. Requires n <= 20.
     """
-    n = T.n
-    if n > EXACT_MAX_N:
-        raise TooLarge(n, EXACT_MAX_N)
-    out_rows = np.array(T.out_masks, dtype=np.int32)
-    in_rows = np.array(T.in_masks, dtype=np.int32)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, 1 << n, CLOSURE_CHUNK):
-        masks = np.arange(start, min(start + CLOSURE_CHUNK, 1 << n), dtype=np.int32)
-        masks = masks[np.bitwise_count(masks) >= 3]
-        masks = masks[_closure(out_rows, masks) == masks]
-        masks = masks[_closure(in_rows, masks) == masks]
-        counts += np.bincount(np.bitwise_count(masks), minlength=n + 1)
+    counts = np.zeros(T.n + 1, dtype=np.int64)
+    for masks in _strong_masks(T):
+        counts += np.bincount(np.bitwise_count(masks), minlength=T.n + 1)
     return counts
 
 

@@ -250,3 +250,26 @@ class TestRotationalMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * T.n ** 2
+
+
+class TestGeneratorMemory:
+    @pytest.mark.parametrize("build, bound", [
+        (lambda: random_tournament(1000, 0), 3),  # one bit draw, no index arrays
+        (lambda: transitive_tournament(1000), 1.5),  # one matrix
+    ])
+    def test_traced_peak_in_matrices(self, build, bound):
+        tracemalloc.start()
+        try:
+            T = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * T.n ** 2
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "bd885f974ced9c4bd8889ea3e1123776ac092cb77dca974f6637296f99197070"),
+        (1, "f5f8d34d99b720879263506e1df93754e70d3986b16506d80cdfa23e8448116e"),
+    ])
+    def test_random_300_matches_recorded_hash(self, seed, digest):
+        adj = random_tournament(300, seed).adj
+        assert hashlib.sha256(adj.tobytes()).hexdigest() == digest
