@@ -20,7 +20,7 @@ from .hamilton import (HamiltonCertificate, SccDecomposition,
                        hamiltonian_on_subset, is_hamiltonian,
                        is_valid_certificate, scc, strongly_connected)
 from .sampling import (BoundSpec, EstimateReport, SamplePlan,
-                       estimate_hamiltonian_probability,
+                       estimate_hamiltonian_probability, estimate_sweep,
                        exact_hamiltonian_probability, sample_subset,
                        theoretical_bound, trial_subset,
                        uniform_subset_probability, wilson_interval)
@@ -45,7 +45,7 @@ __all__ = [
     "transitive_tournament", "random_tournament", "extremal_theorem1_even",
     "extremal_theorem1_odd", "extremal_main", "extremal_main_blocks",
     "SamplePlan", "EstimateReport", "BoundSpec", "sample_subset",
-    "trial_subset", "estimate_hamiltonian_probability",
+    "trial_subset", "estimate_hamiltonian_probability", "estimate_sweep",
     "exact_hamiltonian_probability", "uniform_subset_probability",
     "theoretical_bound", "wilson_interval",
     "Partition", "GoodnessReport", "CutResult", "MatchingCover",

@@ -24,8 +24,7 @@ from .errors import (BadConfig, BadParams, DiagonalNonzero, EmptyPart,
                      TooLarge, Trn1ParseError, check_integer, check_probability)
 from .generators import _BUILDERS, FAMILIES, ExtremalSpec
 from .hamilton import HamiltonCertificate, check_certificate, is_hamiltonian
-from .sampling import (SamplePlan, estimate_hamiltonian_probability,
-                       theoretical_bound)
+from .sampling import estimate_sweep, theoretical_bound
 from .structure import (_check_cleaning_eps, _check_connector_params,
                         balanced_cut_search, clean_to_good_partition,
                         default_connector_k, k_connectors, max_BA_matching,
@@ -103,10 +102,8 @@ def run_sweep(config: ExperimentConfig) -> dict:
     """Execute the sweep and return the SweepReport as a plain dict."""
     T = config.load_tournament()
     rows = []
-    for p in config.p_values:
-        plan = SamplePlan(p=p, trials=config.trials, master_seed=config.master_seed)
-        est = estimate_hamiltonian_probability(T, plan)
-        bound = theoretical_bound(T.n, config.t, p)
+    for est in estimate_sweep(T, config.p_values, config.trials, config.master_seed):
+        bound = theoretical_bound(T.n, config.t, est.p)
         row = est.to_json_dict()
         row["bound"] = bound.bound_value
         row["improved"] = bound.improved

@@ -14,7 +14,7 @@ purpose:
   strong iff every proper prefix sum of its sorted score sequence strictly
   exceeds k(k-1)/2, Moon/Landau), used by the Monte Carlo estimator. One
   float32 product with adj^T - n*I shifts the members' scores below every
-  non-member's value, and a row is strong iff the first k at which the
+  non-member's value, and a row is strong iff the only k at which the
   sorted int32 prefix sums meet C(k,2) - n*k is k = |S| (int64 only once
   n^2 >= 2^31); ``scc`` cuts the sorted score sequence where that prefix
   sum is equal.
@@ -282,31 +282,43 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     Kernel: one float32 product with M = adj^T - n*I gives each member v
     of S its score inside S minus n (in [-n, -1]) and each non-member its
     out-degree into S (>= 0), so after an ascending sort the members come
-    first, in score order, and no sentinel is needed. Compare the prefix
-    sums with C(k,2) - n*k for k = 1..n. Up to k = |S| this is Landau's
-    test: the k lowest scores sum to at least C(k,2), with equality at
-    k = |S|, and equality at a smaller k means those k members have all
-    their out-edges among themselves. Past |S| every step adds n - k + 1
-    or more to the gap, so no tie follows. T[S] is therefore strong iff
-    its first tie is at k = |S|.
+    first, in score order, and no sentinel is needed. M carries one more
+    column of ones, so the product's last column is |S|. Compare the
+    prefix sums with C(k,2) - n*k for k = 1..width, where width is the
+    largest |S| in the batch. Up to k = |S| this is Landau's test: the k
+    lowest scores sum to at least C(k,2), with equality at k = |S|, and
+    equality at a smaller k means those k members have all their
+    out-edges among themselves. Past |S| every step adds n - k + 1 or
+    more to the gap, so no tie follows, and the columns past width need
+    no prefix at all. So for |S| >= 1 the tie at k = |S| is the last,
+    and T[S] is strong iff it is the only one among k = 1..width.
 
-    Exact: |score - n| <= n <= 2^16 is far inside float32's 2^24, and the
-    prefixes lie in [-n^2, 0], int32 unless n^2 >= 2^31 (_prefix_dtype).
+    Exact: the product's entries are integers of magnitude <= n <= 2^16,
+    far inside float32's 2^24, so they are sorted as float32; the prefixes
+    lie in [-n^2, 0] and are summed in int32 unless n^2 >= 2^31
+    (_prefix_dtype).
     """
     if inclusion.ndim != 2 or inclusion.shape[1] != T.n:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")
     n = T.n
-    # one n x n copy per call, small beside the (batch, n) x (n, n) product
-    shifted = T.adj.T.astype(np.float32)
-    np.fill_diagonal(shifted, -n)
+    # one n x (n+1) copy per call, small beside the (batch, n) x (n, n+1) product
+    shifted = np.ones((n, n + 1), dtype=np.float32)
+    shifted[:, :n] = T.adj.T
+    np.fill_diagonal(shifted[:, :n], -n)
     dtype = _prefix_dtype(n)
-    prefix = (inclusion.astype(np.float32) @ shifted).astype(dtype)
-    prefix.sort(axis=1)
-    np.cumsum(prefix, axis=1, out=prefix)
-    k = np.arange(1, n + 1, dtype=dtype)
-    first_tie = (prefix == k * (k - 1) // 2 - n * k).argmax(axis=1) + 1
-    sizes = inclusion.sum(axis=1)
-    return (first_tie == sizes) & (sizes >= 3)
+    product = inclusion.astype(np.float32) @ shifted
+    sizes = product[:, n]
+    width = int(sizes.max(initial=0))  # 0 for a batch of no rows
+    scores = product[:, :n]
+    scores.sort(axis=1)
+    # head[k - 1] holds every row's k-th prefix sum: the running sum adds
+    # whole rows, which is faster than numpy's cumsum along a short axis.
+    head = scores[:, :width].T.astype(dtype, order="C")
+    for i in range(1, width):
+        head[i] += head[i - 1]
+    k = np.arange(1, width + 1, dtype=dtype)[:, None]
+    ties = np.count_nonzero(head == k * (k - 1) // 2 - n * k, axis=0)
+    return (ties == 1) & (sizes >= 3)
 
 
 def hamiltonian_on_subset(T: Tournament, S: VertexSubset) -> bool:

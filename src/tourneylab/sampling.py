@@ -17,6 +17,9 @@ thread count and any scheduling order. Vertex v is in S iff the raw
 64-bit Philox word x drawn for it is below ceil(p * 2^53) << 11. That is
 exactly ``Generator.random() < p`` on the same stream, since random()
 returns (x >> 11) * 2^-53, so the counts equal those of the uniform draw.
+A block's words do not depend on p, only the threshold does, so a sweep
+over several p draws each block once and every p's count equals that of
+a one-p estimate.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -133,7 +136,7 @@ def _word_threshold(p: float) -> np.uint64:
 
 
 def trial_subset(n: int, p: float, master_seed: int, trial_index: int) -> VertexSubset:
-    """The exact subset estimate_hamiltonian_probability uses for one trial."""
+    """The exact subset estimate_sweep uses for one trial at this p."""
     check_integer("master_seed", master_seed, 0, _MAX_SEED)
     check_integer("trial_index", trial_index, 0)
     block, row = divmod(trial_index, BLOCK_TRIALS)
@@ -154,50 +157,82 @@ def thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-def estimate_hamiltonian_probability(
-    T: Tournament, plan: SamplePlan, threads: int | None = None
-) -> EstimateReport:
-    """Monte Carlo estimate of P[T[S] Hamiltonian] under p-biased sampling.
+def estimate_sweep(
+    T: Tournament, p_values: Iterable[float], trials: int, master_seed: int,
+    threads: int | None = None,
+) -> list[EstimateReport]:
+    """Monte Carlo estimates of P[T[S] Hamiltonian], one report per p in the
+    order given, all from the same Philox blocks.
 
     Each trial samples S by independent Bernoulli(p) draws and counts a
     success iff T[S] is Hamiltonian (|S| <= 2 never succeeds). Trials are
     processed in fixed blocks through the vectorized score-sequence
-    kernel; the success count is invariant to the worker count, which is
+    kernel; the success counts are invariant to the worker count, which is
     ``threads`` (an integer >= 1) or, when that is None, thread_cap().
+
+    A block's words do not depend on p, so each block is drawn once for
+    the whole sweep. Its words are reduced to one small-integer ``level``
+    per vertex, the number of the sweep's distinct thresholds the word
+    reaches; with those thresholds ascending, the word is below the one at
+    index j iff its level is at most j, so block memory does not grow with
+    the number of p. Every report's wall_time is the whole sweep's.
     """
+    plans = [SamplePlan(p=p, trials=trials, master_seed=master_seed) for p in p_values]
+    if not plans:
+        raise BadParams("an estimate sweep needs at least one p value")
     if threads is not None:
         check_integer("threads", threads, 1)
     workers = thread_cap() if threads is None else threads
     n = T.n
-    n_blocks = (plan.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     start = time.perf_counter()
-    threshold = _word_threshold(plan.p)
+    thresholds = np.array([_word_threshold(plan.p) for plan in plans], dtype=np.uint64)
+    distinct = np.unique(thresholds)
+    level_dtype = np.min_scalar_type(len(distinct))
 
-    def run_block(b: int) -> int:
-        rows = min(BLOCK_TRIALS, plan.trials - b * BLOCK_TRIALS)
+    def run_block(b: int) -> np.ndarray:
+        rows = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
+        words = _block_uniforms(master_seed, b, rows, n)
+        level = np.zeros(words.shape, dtype=level_dtype)
+        for threshold in distinct:
+            level += words >= threshold
         # The words are freed before the kernel allocates: holding them too
         # lifts a block's heap peak past the C allocator's trim threshold,
         # and each block then faults its pages in afresh.
-        inclusion = _block_uniforms(plan.master_seed, b, rows, n) < threshold
-        return int(hamiltonian_batch(T, inclusion).sum())
+        del words
+        return np.array([np.count_nonzero(hamiltonian_batch(T, level <= j))
+                         for j in range(len(distinct))], dtype=np.int64)
 
     if workers == 1 or n_blocks == 1:
-        successes = sum(run_block(b) for b in range(n_blocks))
+        counts = sum(run_block(b) for b in range(n_blocks))
     else:
         with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            successes = sum(pool.map(run_block, range(n_blocks)))
+            counts = sum(pool.map(run_block, range(n_blocks)))
 
-    lo, hi = wilson_interval(successes, plan.trials)
-    return EstimateReport(
-        successes=successes,
-        trials=plan.trials,
-        point_estimate=successes / plan.trials,
-        ci_low=lo,
-        ci_high=hi,
-        p=plan.p,
-        master_seed=plan.master_seed,
-        wall_time=time.perf_counter() - start,
-    )
+    wall_time = time.perf_counter() - start
+    reports = []
+    for plan, j in zip(plans, np.searchsorted(distinct, thresholds)):
+        successes = int(counts[j])
+        lo, hi = wilson_interval(successes, trials)
+        reports.append(EstimateReport(
+            successes=successes,
+            trials=trials,
+            point_estimate=successes / trials,
+            ci_low=lo,
+            ci_high=hi,
+            p=plan.p,
+            master_seed=master_seed,
+            wall_time=wall_time,
+        ))
+    return reports
+
+
+def estimate_hamiltonian_probability(
+    T: Tournament, plan: SamplePlan, threads: int | None = None
+) -> EstimateReport:
+    """Monte Carlo estimate of P[T[S] Hamiltonian] at one p: a one-p
+    estimate_sweep, so its counts equal that p's in any sweep."""
+    return estimate_sweep(T, [plan.p], plan.trials, plan.master_seed, threads)[0]
 
 
 def _union_table(rows: list[int]) -> np.ndarray:
