@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -264,7 +265,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it unchanged, so main reuses it within a process."""
     parser = argparse.ArgumentParser(
         prog="tourneylab",
         description="Tournament Hamiltonicity laboratory under random vertex sampling.")

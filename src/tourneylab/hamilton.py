@@ -6,8 +6,9 @@ purpose:
 
 * ``is_hamiltonian`` — forward+backward bitset BFS from one vertex
   (``sampling.hamiltonian_subset_size_counts`` runs the same closure for
-  all 2^n vertex subsets at once over int32 bitsets, one gather per BFS
-  level from a table of the neighbourhood unions of every vertex set);
+  all 2^n vertex subsets at once over int32 bitsets, one buffered gather
+  and one AND per BFS level from a table of the closed-neighbourhood
+  unions of every vertex set);
 * ``brute_force_hamiltonian`` — Held–Karp dynamic programming over
   (visited-subset, endpoint) states, the trust anchor for small n;
 * ``hamiltonian_batch`` — vectorized score-sequence test (a tournament is
@@ -54,11 +55,15 @@ class HamiltonCertificate:
 
     @classmethod
     def from_text(cls, text: str) -> "HamiltonCertificate":
-        parts = [p.strip() for p in text.strip().split(",") if p.strip() != ""]
+        """Comma-separated vertex indices: each token, stripped of whitespace,
+        must be non-empty ASCII decimal digits (no sign, no underscore)."""
+        tokens = [token.strip() for token in text.split(",")]
         try:
-            return cls(tuple(int(p) for p in parts))
-        except ValueError:
-            raise InvalidCertificate(0, "certificate token is not a vertex index") from None
+            if all(token.isascii() and token.isdigit() for token in tokens):
+                return cls(tuple(int(token) for token in tokens))
+        except ValueError:  # a token longer than int() converts
+            pass
+        raise InvalidCertificate(0, "certificate token is not a vertex index")
 
 
 def check_certificate(T: Tournament, cert: HamiltonCertificate) -> None:

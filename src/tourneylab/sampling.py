@@ -3,9 +3,10 @@ exact probabilities by subset enumeration, and the closed-form bounds.
 
 The exact route counts the strong subsets of each size for all 2^n
 subsets at once: each subset is an int32 bitset, and its forward and
-backward reachability closures grow from its lowest member by one gather
-per BFS level from a subset-union table (table[m] = the union of the out-
-or in-neighbourhoods of m's members, 2^n int32 entries each).
+backward reachability closures grow from its lowest member by one
+buffered gather and one AND per BFS level from a subset-union table
+(table[m] = the union of the closed out- or in-neighbourhoods of m's
+members, so table[m] contains m; 2^n int32 entries each).
 It reads only adjacency bitsets, never scores, so it shares no code with
 the estimator's score kernel and referees it.
 
@@ -240,6 +241,8 @@ def _union_table(rows: list[int]) -> np.ndarray:
 
     Built in n slice steps: the masks in [2^v, 2^(v+1)) are the masks below
     2^v with v added, so each half-table is the one before it OR rows[v].
+    _strong_masks passes closed neighbourhoods (rows[v] includes v), so its
+    tables hold table[m] ⊇ m.
     """
     table = np.zeros(1 << len(rows), dtype=np.int32)
     for v, row in enumerate(rows):
@@ -249,18 +252,22 @@ def _union_table(rows: list[int]) -> np.ndarray:
 
 def _closure(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """For each mask, the vertices of the mask reachable from its lowest
-    member along the adjacency bitsets that ``table`` (see _union_table)
-    unites: each step gathers the neighbours of everything reached so far,
-    one BFS level, and steps repeat until one adds nothing.
+    member along the closed-neighbourhood bitsets that ``table`` (see
+    _union_table) unites. Since table[m] ⊇ m, one BFS level is
+    ``table[reached] & masks``; levels repeat until one adds nothing.
+
+    Each level gathers into one of two buffers that swap, so no level
+    allocates. ``mode="wrap"`` never wraps: every index is a subset of a
+    mask below 2^n = len(table); it only skips numpy's bounds-checking path.
     """
     reached = masks & -masks
+    grown = np.empty_like(reached)
     while True:
-        grown = table[reached]
+        np.take(table, reached, out=grown, mode="wrap")
         grown &= masks
-        grown |= reached
         if np.array_equal(grown, reached):
             return reached
-        reached = grown
+        reached, grown = grown, reached
 
 
 def _strong_masks(T: Tournament) -> Iterator[np.ndarray]:
@@ -275,8 +282,8 @@ def _strong_masks(T: Tournament) -> Iterator[np.ndarray]:
     n = T.n
     if n > EXACT_MAX_N:
         raise TooLarge(n, EXACT_MAX_N)
-    out_table = _union_table(T.out_masks)
-    in_table = _union_table(T.in_masks)
+    out_table = _union_table([row | 1 << v for v, row in enumerate(T.out_masks)])
+    in_table = _union_table([row | 1 << v for v, row in enumerate(T.in_masks)])
     for start in range(0, 1 << n, CLOSURE_CHUNK):
         masks = np.arange(start, min(start + CLOSURE_CHUNK, 1 << n), dtype=np.int32)
         masks = masks[np.bitwise_count(masks) >= 3]
@@ -289,8 +296,8 @@ def hamiltonian_subset_size_counts(T: Tournament) -> np.ndarray:
 
     Decides strong connectivity for all 2^n subsets at once (see
     _strong_masks): a subset's closure grows by one gather per BFS level
-    from a table of the out- (or in-) neighbourhood unions of all 2^n
-    vertex sets. The closure uses adjacency bitsets only, no scores, so
+    from a table of the closed out- (or in-) neighbourhood unions of all
+    2^n vertex sets. The closure uses adjacency bitsets only, no scores, so
     this path is disjoint from the estimator's score kernel and doubles as
     the independent oracle for the Monte Carlo route. Requires n <= 20.
     """

@@ -9,7 +9,8 @@ import pytest
 from tourneylab import (hamilton_cycle, is_hamiltonian, read_trn1,
                         semidegrees, validate)
 from tourneylab.cli import (EXIT_BAD_PARAMS, EXIT_CERTIFICATE, EXIT_IO,
-                            EXIT_OK, EXIT_PARSE, ExperimentConfig, main)
+                            EXIT_OK, EXIT_PARSE, ExperimentConfig,
+                            build_parser, main)
 from tourneylab.errors import BadConfig
 
 TRIANGLE_TRN1 = "TRN1 3\n010\n001\n100\n"
@@ -287,6 +288,17 @@ class TestVerify:
         assert main(["verify", "--file", trn, "--certificate", cert]) == EXIT_CERTIFICATE
         assert "vertex index" in capsys.readouterr().err
 
+    # the first four read as the triangle's cycle when tokens went through
+    # int(); the last one is past int()'s digit limit
+    @pytest.mark.parametrize("text", ["0,+1,2\n", "0_0,1,2\n", "0,,1,2\n",
+                                      "0,1,2,\n", "0,1,-2\n", "\n",
+                                      "0,1," + "0" * 5000 + "2\n"])
+    def test_token_is_ascii_digits(self, tmp_path, capsys, text):
+        trn = write(tmp_path / "tri.trn", TRIANGLE_TRN1)
+        cert = write(tmp_path / "c.txt", text)
+        assert main(["verify", "--file", trn, "--certificate", cert]) == EXIT_CERTIFICATE
+        assert "vertex index" in capsys.readouterr().err
+
     def test_non_ascii_certificate(self, tmp_path, capsys):
         trn = write(tmp_path / "tri.trn", TRIANGLE_TRN1)
         cert = tmp_path / "c.txt"
@@ -323,6 +335,56 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", "--file", str(tmp_path / "nope.trn")]) == EXIT_IO
+
+
+class TestSharedParser:
+    """main builds its parser once per process; every call on the shared
+    parser must act as it does on a fresh one."""
+
+    SEQUENCE = [
+        ["estimate", "--file", "r9.trn", "--p", "0.7", "--trials", "3000",
+         "--out", "est1"],
+        ["estimate", "--config", "cfg.json", "--out", "est2"],  # default p list
+        ["exact", "--file", "r9.trn", "--p", "0.3", "--out", "ex1.json"],
+        ["exact", "--file", "r9.trn", "--p", "0.5", "--p", "0.7", "--out", "ex2.json"],
+        ["exact", "--file", "r9.trn"],  # usage error: no --p
+        ["check", "--file", "r9.trn"],
+        ["--version"],
+        ["exact", "--file", "r9.trn", "--p", "0.5"],
+    ]
+    REPORTS = ["est1.json", "est1.csv", "est2.json", "est2.csv", "ex1.json", "ex2.json"]
+
+    def run(self, workdir, monkeypatch, capsys, fresh):
+        (workdir / "cfg.json").write_text(json.dumps(
+            {"family": "random", "params": {"n": 9}, "seed": 4,
+             "p_values": [0.3, 0.5], "trials": 3000, "master_seed": 5}))
+        monkeypatch.chdir(workdir)
+        main(["gen", "random", "--n", "9", "--seed", "4", "--out", "r9.trn"])
+        capsys.readouterr()
+        outcomes = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outcomes.append((code, *capsys.readouterr()))
+        reports = [(workdir / name).read_bytes() for name in self.REPORTS]
+        return outcomes, reports
+
+    def test_sequence_matches_fresh_calls(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "shared").mkdir()
+        (tmp_path / "fresh").mkdir()
+        build_parser.cache_clear()
+        parser = build_parser()
+        shared = self.run(tmp_path / "shared", monkeypatch, capsys, fresh=False)
+        assert build_parser() is parser
+        fresh = self.run(tmp_path / "fresh", monkeypatch, capsys, fresh=True)
+        assert shared == fresh
+        codes = [code for code, _, _ in shared[0]]
+        assert codes == [EXIT_OK] * 4 + [EXIT_BAD_PARAMS] + [EXIT_OK] * 3
+        assert json.loads(shared[1][2])["config"]["p_values"] == [0.3, 0.5]
 
 
 class TestEntryPoint:

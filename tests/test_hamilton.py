@@ -205,6 +205,10 @@ class TestCertificates:
         assert cert.to_text() == "0,2,1,3"
         assert HamiltonCertificate.from_text("0, 2, 1, 3\n") == cert
 
+    def test_text_round_trip_at_n2000(self):
+        cert = HamiltonCertificate(tuple(np.random.default_rng(1).permutation(2000).tolist()))
+        assert HamiltonCertificate.from_text(cert.to_text() + "\n") == cert
+
     def test_reversed_edge_position(self, triangle):
         with pytest.raises(InvalidCertificate) as exc:
             check_certificate(triangle, HamiltonCertificate((0, 2, 1)))

@@ -7,7 +7,8 @@ from conftest import brute_force_size_counts
 
 from tourneylab import (Tournament, VertexSubset, extremal_main, induced,
                         is_hamiltonian, random_tournament)
-from tourneylab.sampling import (_strong_masks, _union_table,
+from tourneylab.hamilton import reach_on_mask
+from tourneylab.sampling import (_closure, _strong_masks, _union_table,
                                  hamiltonian_subset_size_counts)
 
 
@@ -33,6 +34,27 @@ class TestUnionTable:
                 if m >> v & 1:
                     direct |= rows[v]
             assert table[m] == direct
+
+
+CLOSURE_CASES = {
+    "random9-1": lambda: random_tournament(9, 1),
+    "random9-2": lambda: random_tournament(9, 2),
+    "main9-1": lambda: extremal_main(9, 1),
+    "long-path10": lambda: long_path(10),
+}
+
+
+class TestClosure:
+    @pytest.mark.parametrize("direction", ["out_masks", "in_masks"])
+    @pytest.mark.parametrize("name", CLOSURE_CASES)
+    def test_every_mask_matches_bitset_bfs(self, name, direction):
+        # the closed-neighbourhood table _strong_masks builds, against the
+        # per-mask BFS over the open rows
+        rows = getattr(CLOSURE_CASES[name](), direction)
+        table = _union_table([row | 1 << v for v, row in enumerate(rows)])
+        masks = np.arange(1 << len(rows), dtype=np.int32)
+        expected = [reach_on_mask(rows, m, m & -m) for m in range(1 << len(rows))]
+        assert _closure(table, masks).tolist() == expected
 
 
 class TestStrongMasks:
