@@ -244,8 +244,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     T = read_trn1(args.file)
-    # as in read_trn1, a non-ASCII byte decodes to a lone surrogate, which
-    # from_text rejects as a token that is not a vertex index
+    # a non-ASCII byte decodes to a lone surrogate, which from_text rejects
+    # as a token that is not a vertex index
     with open(args.certificate, "r", encoding="ascii", errors="surrogateescape") as fh:
         cert = HamiltonCertificate.from_text(fh.read())
     try:

@@ -13,6 +13,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -22,6 +23,10 @@ from ._bits import iter_bits, mask_of, rows_to_masks
 from .errors import DiagonalNonzero, PairViolation, SubsetOutOfRange, TooLarge, Trn1ParseError
 
 MAX_VERTICES = 1 << 16
+# Rows (or columns) per block of the passes that would otherwise hold an
+# n x n temporary: the invariant check, the in-neighbour bitsets and TRN1's
+# row compaction.
+_BLOCK = 64
 
 
 class Tournament:
@@ -70,7 +75,9 @@ class Tournament:
     def in_masks(self) -> list[int]:
         """Per-vertex bitset of in-neighbors N-(v)."""
         if self._in_masks is None:
-            self._in_masks = rows_to_masks(np.ascontiguousarray(self.adj.T))
+            # column blocks: the whole transpose would be an n x n copy
+            self._in_masks = [m for i in range(0, self.n, _BLOCK) for m in rows_to_masks(
+                np.ascontiguousarray(self.adj[:, i:i + _BLOCK].T))]
         return self._in_masks
 
     def edge(self, u: int, v: int) -> bool:
@@ -102,15 +109,23 @@ def _check_entries(a: np.ndarray) -> None:
 
 
 def _check_invariants(a: np.ndarray) -> None:
+    """Check a 0/1 matrix's diagonal, then its pairs; the first bad one raises."""
     bad = np.flatnonzero(np.diagonal(a))
     if bad.size:
         raise DiagonalNonzero(int(bad[0]))
     n = a.shape[0]
-    pairs = a + a.T
-    # The diagonal of pairs is 0, so every pair carries exactly one edge
-    # iff no entry exceeds 1 and the entries sum to n(n-1); only a failing
-    # matrix pays for the n x n masks that locate its first bad pair.
-    if pairs.max() > 1 or pairs.sum() != n * (n - 1):
+    # With a zero diagonal, every pair carries exactly one edge iff a has
+    # n(n-1)/2 ones and a + a^T has n(n-1) nonzero entries: no pair has
+    # two edges, then none has none. a + a^T is summed in row blocks, and
+    # only a failing matrix pays for the n x n masks that locate its first
+    # bad pair.
+    block = np.empty((min(n, _BLOCK), n), dtype=np.uint8)
+    nonzero = 0
+    for i in range(0, n, _BLOCK):
+        pairs = np.add(a[i:i + _BLOCK], a[:, i:i + _BLOCK].T, out=block[:min(_BLOCK, n - i)])
+        nonzero += np.count_nonzero(pairs)
+    if np.count_nonzero(a) != n * (n - 1) // 2 or nonzero != n * (n - 1):
+        pairs = a + a.T
         i, j = divmod(int(np.flatnonzero(np.triu(pairs != 1, 1))[0]), n)
         raise PairViolation(i, j)
 
@@ -227,26 +242,33 @@ def format_trn1(T: Tournament) -> str:
     return f"TRN1 {n}\n" + cells.tobytes().decode("ascii")
 
 
-def parse_trn1(text: str) -> Tournament:
+def parse_trn1(text: str | bytes | bytearray) -> Tournament:
     """Parse TRN1 text, enforcing both tournament invariants.
+
+    ``text`` may also be bytes, read as ASCII: a byte above 127 is an
+    invalid character, named by the lone surrogate that surrogateescape
+    decodes it to. A bytearray is handed over: the matrix is built in its
+    memory, so the caller must not use it again.
 
     Structural problems raise Trn1ParseError with the 1-based line number;
     orientation problems raise DiagonalNonzero/PairViolation.
     """
-    # The cells are a fresh 0/1 buffer, so they are handed over without
-    # the constructor's copy and only the pair invariants remain to check.
-    T = Tournament(_trn1_cells(text), _trusted=True)
-    _check_invariants(T.adj)
-    return T
+    if isinstance(text, str):
+        # "replace" encodes each character as one byte, so an offset into
+        # the buffer is an offset into text, where messages find what the
+        # text had there.
+        buf = bytearray(text, "ascii", "replace")
+        decode = text.__getitem__
+    else:
+        buf = text if isinstance(text, bytearray) else bytearray(text)
 
-
-def _trn1_cells(text: str) -> np.ndarray:
-    """The 0/1 matrix of TRN1 text; its own function so that the list of
-    lines is freed before the invariant check runs."""
-    if not text:
+        def decode(span: slice) -> str:
+            return buf[span].decode("ascii", "surrogateescape")
+    if not buf:
         raise Trn1ParseError(1, "empty file")
-    end = text.find("\n")
-    header = (text if end < 0 else text[:end]).split()
+    end = buf.find(b"\n")
+    stop = len(buf) if end < 0 else end
+    header = decode(slice(0, stop)).split()
     if len(header) != 2 or header[0] != "TRN1":
         raise Trn1ParseError(1, "expected header 'TRN1 <n>'")
     try:
@@ -255,39 +277,64 @@ def _trn1_cells(text: str) -> np.ndarray:
         raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer") from None
     if n < 1:
         raise Trn1ParseError(1, f"vertex count must be >= 1, got {n}")
-    if n > MAX_VERTICES:  # before the split: the rows alone would be n^2 bytes
+    if n > MAX_VERTICES:  # before any row work: the rows alone would be n^2 bytes
         raise TooLarge(n, MAX_VERTICES)
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < n + 1:
-        raise Trn1ParseError(len(lines) + 1, f"expected {n} matrix rows, found {len(lines) - 1}")
-    if len(lines) > n + 1:
-        raise Trn1ParseError(n + 2, "trailing garbage after matrix rows")
-    rows = lines[1:]
+    start = stop if end < 0 else stop + 1
+    if len(buf) - start not in (n * (n + 1) - 1, n * (n + 1)):
+        raise _trn1_error(buf, start, n, decode)
+    # Row i's cells begin at start + i(n+1) and a '\n' follows them; the
+    # last row's '\n' may be missing. Both checks read the buffer in place.
+    cells = np.ndarray((n, n), np.uint8, buf, start, (n + 1, 1))
+    newlines = np.frombuffer(buf, np.uint8, offset=start + n)[::n + 1]
+    if not ((newlines == ord("\n")).all() and cells.min() >= ord("0") and cells.max() <= ord("1")):
+        raise _trn1_error(buf, start, n, decode)
+    # Slide the rows down into the first n^2 bytes as 0/1, block by block:
+    # later blocks' cells lie after the bytes a block writes, so none is
+    # overwritten before it is read, and numpy's copy of a block that
+    # overlaps its own output is the only temporary.
+    adj = np.ndarray((n, n), np.uint8, buf)
+    for i in range(0, n, _BLOCK):
+        np.subtract(cells[i:i + _BLOCK], ord("0"), out=adj[i:i + _BLOCK])
+    T = Tournament(adj, _trusted=True)
+    _check_invariants(T.adj)
+    return T
+
+
+def _trn1_error(buf: bytearray, start: int, n: int, decode) -> Trn1ParseError:
+    """The first error in file order of TRN1 rows from ``start`` on that
+    are not n rows of n cells; found by a scan of the newlines."""
+    body = np.frombuffer(buf, np.uint8, offset=start)
+    newlines = np.flatnonzero(body == ord("\n"))
+    rows = newlines.size + int(body.size > 0 and body[-1] != ord("\n"))
+    if rows < n:
+        return Trn1ParseError(rows + 2, f"expected {n} matrix rows, found {rows}")
+    if rows > n:
+        return Trn1ParseError(n + 2, "trailing garbage after matrix rows")
+    ends = np.append(newlines, body.size)[:n]
+    lengths = ends - np.append(0, ends[:-1] + 1)
+    wrong = np.flatnonzero(lengths != n)
+    good = int(wrong[0]) if wrong.size else n
     # Rows before the first one of the wrong length are checked cell by
     # cell first, so the first error in file order is the one reported.
-    good = next((i for i, row in enumerate(rows) if len(row) != n), n)
-    # Row by row into one matrix: joining the rows first would hold two
-    # more copies of the text. "replace" turns each non-ASCII character
-    # into one invalid '?' cell.
-    cells = np.empty((good, n), dtype=np.uint8)
-    for i in range(good):
-        cells[i] = np.frombuffer(rows[i].encode("ascii", "replace"), dtype=np.uint8)
-    cells -= ord("0")
-    if cells.size and cells.max() > 1:
-        i, j = divmod(int(np.flatnonzero(cells > 1)[0]), n)
-        raise Trn1ParseError(i + 2, f"invalid character {rows[i][j]!r} at column {j}")
-    if good < n:
-        raise Trn1ParseError(good + 2, f"row has {len(rows[good])} characters, expected {n}")
-    return cells
+    cells = np.ndarray((good, n), np.uint8, buf, start, (n + 1, 1))
+    bad = np.flatnonzero((cells < ord("0")) | (cells > ord("1")))
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        at = start + i * (n + 1) + j
+        return Trn1ParseError(i + 2, f"invalid character {decode(slice(at, at + 1))!r} at column {j}")
+    return Trn1ParseError(good + 2, f"row has {lengths[good]} characters, expected {n}")
 
 
 def read_trn1(path) -> Tournament:
-    # A non-ASCII byte decodes to a lone surrogate, which the parser then
-    # reports as an invalid character on its line.
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return parse_trn1(fh.read())
+    # The file's bytes go into one buffer, which parse_trn1 turns into the
+    # matrix in place. Line ends are read as text mode reads them.
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
+        buf += fh.read()  # all of a pipe, whose size reads 0
+    if b"\r" in buf:
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return parse_trn1(buf)
 
 
 def write_trn1(T: Tournament, path) -> None:

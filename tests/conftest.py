@@ -17,6 +17,9 @@ import pytest
 
 from tourneylab import (Tournament, VertexSubset, brute_force_hamiltonian,
                         induced)
+from tourneylab.core import MAX_VERTICES
+from tourneylab.errors import (DiagonalNonzero, PairViolation, TooLarge,
+                               Trn1ParseError)
 
 
 def brute_force_max_matching(edges: list[tuple[int, int]]) -> int:
@@ -90,6 +93,48 @@ def tournament_from_bits(n: int, code: int) -> Tournament:
                 adj[j, i] = 1
             bit += 1
     return Tournament(adj, _trusted=True)
+
+
+def reference_trn1(text: str) -> np.ndarray:
+    """The 0/1 matrix of TRN1 text by splitting it into lines and checking
+    them one character at a time. The first error in file order is raised
+    as the package raises it: structure and cells first, then the diagonal,
+    then the pairs in lexicographic order."""
+    if not text:
+        raise Trn1ParseError(1, "empty file")
+    header = text.split("\n", 1)[0].split()
+    if len(header) != 2 or header[0] != "TRN1":
+        raise Trn1ParseError(1, "expected header 'TRN1 <n>'")
+    try:
+        n = int(header[1])
+    except ValueError:
+        raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer") from None
+    if n < 1:
+        raise Trn1ParseError(1, f"vertex count must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise TooLarge(n, MAX_VERTICES)
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < n + 1:
+        raise Trn1ParseError(len(lines) + 1, f"expected {n} matrix rows, found {len(lines) - 1}")
+    if len(lines) > n + 1:
+        raise Trn1ParseError(n + 2, "trailing garbage after matrix rows")
+    for i, row in enumerate(lines[1:]):
+        if len(row) != n:
+            raise Trn1ParseError(i + 2, f"row has {len(row)} characters, expected {n}")
+        for j, c in enumerate(row):
+            if c not in "01":
+                raise Trn1ParseError(i + 2, f"invalid character {c!r} at column {j}")
+    adj = np.array([[int(c) for c in row] for row in lines[1:]], dtype=np.uint8)
+    for i in range(n):
+        if adj[i, i]:
+            raise DiagonalNonzero(i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i, j] + adj[j, i] != 1:
+                raise PairViolation(i, j)
+    return adj
 
 
 def planted_blocks(seed: int) -> Tournament:

@@ -1,15 +1,21 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import tournament_from_bits
+from conftest import reference_trn1, tournament_from_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourneylab import (Tournament, VertexSubset, edge_count, format_trn1,
-                        induced, parse_trn1, random_tournament,
+                        induced, parse_trn1, random_tournament, read_trn1,
                         rotational_tournament, semidegrees,
-                        transitive_tournament, validate)
+                        transitive_tournament, validate, write_trn1)
+from tourneylab._bits import rows_to_masks
+from tourneylab.core import _check_invariants
 from tourneylab.errors import (DiagonalNonzero, PairViolation,
-                               SubsetOutOfRange, Trn1ParseError)
+                               SubsetOutOfRange, TourneyLabError,
+                               Trn1ParseError)
 
 TRIANGLE = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
@@ -229,3 +235,128 @@ class TestTrn1:
 
     def test_single_vertex_file(self):
         assert parse_trn1("TRN1 1\n0\n").n == 1
+
+    @pytest.mark.parametrize("data", [
+        b"TRN1 3\r\n010\r\n001\r\n100\r\n",
+        b"TRN1 3\r010\r001\r100\r",
+        b"TRN1 3\n010\n001\n100",
+        b"TRN1 3\r\n010\n001\n100\n",
+    ], ids=["crlf", "lone-cr", "no-final-newline", "crlf-header"])
+    def test_line_ends_read_as_lf(self, tmp_path, data):
+        path = tmp_path / "t.trn"
+        path.write_bytes(data)
+        assert read_trn1(path) == parse_trn1("TRN1 3\n010\n001\n100\n") == validate(TRIANGLE)
+
+    def test_crlf_header_in_text(self):
+        assert parse_trn1("TRN1 3\r\n010\n001\n100\n") == validate(TRIANGLE)
+
+    def test_non_ascii_byte_names_its_surrogate(self, tmp_path):
+        path = tmp_path / "t.trn"
+        path.write_bytes(b"TRN1 3\n010\n0\xc31\n100\n")
+        for parse, arg in ((read_trn1, path), (parse_trn1, path.read_bytes())):
+            with pytest.raises(Trn1ParseError) as exc:
+                parse(arg)
+            assert str(exc.value) == "line 3: invalid character '\\udcc3' at column 1"
+
+    def test_bytes_parse_as_text(self):
+        text = format_trn1(random_tournament(9, seed=4))
+        assert parse_trn1(text) == parse_trn1(text.encode())
+
+    def test_bytearray_becomes_the_matrix(self):
+        buf = bytearray(format_trn1(random_tournament(9, seed=5)), "ascii")
+        T = parse_trn1(buf)
+        assert T == random_tournament(9, seed=5)
+        assert np.shares_memory(T.adj, np.frombuffer(buf, np.uint8))
+
+
+MUTATIONS = ["0", "1", "\n", "\r", "x", " ", "\u00e9", "\udcff", "\t", "\x1c"]
+
+
+def _outcome(parse, arg):
+    try:
+        adj = parse(arg)
+    except TourneyLabError as exc:
+        return type(exc), str(exc)
+    return np.asarray(getattr(adj, "adj", adj)).tolist()
+
+
+def _mutated_trn1(rng: random.Random) -> str:
+    chars = list(format_trn1(random_tournament(rng.randint(1, 7), seed=rng.randrange(1 << 30))))
+    for _ in range(rng.randint(1, 3)):
+        op, pos = rng.randrange(3), rng.randint(0, len(chars))
+        if op == 0:
+            chars.insert(pos, rng.choice(MUTATIONS))
+        elif pos < len(chars):
+            if op == 1:
+                del chars[pos]
+            else:
+                chars[pos] = rng.choice(MUTATIONS)
+    return "".join(chars)
+
+
+def test_parse_matches_line_splitting_reference(tmp_path):
+    """Seeded mutations of small valid files: text, bytes and file routes
+    give the reference's matrix, or its exception type and message. The
+    file's reference reads it as text mode does: ASCII with surrogateescape
+    and universal newlines."""
+    rng = random.Random(20261018)
+    path = tmp_path / "fuzz.trn"
+    outcomes = set()
+    for _ in range(2500):
+        text = _mutated_trn1(rng)
+        expected = _outcome(reference_trn1, text)
+        assert _outcome(parse_trn1, text) == expected, repr(text)
+        data = text.encode("utf-8", "surrogateescape")
+        assert _outcome(parse_trn1, data) == _outcome(
+            reference_trn1, data.decode("ascii", "surrogateescape")), repr(data)
+        path.write_bytes(data)
+        with open(path, encoding="ascii", errors="surrogateescape") as fh:
+            expected = _outcome(reference_trn1, fh.read())
+        assert _outcome(read_trn1, path) == expected, repr(data)
+        outcomes.add(expected[0] if isinstance(expected, tuple) else "valid")
+    assert len(outcomes) == 5  # every error type, and valid files
+
+
+class TestTrn1Memory:
+    def test_read_peak_is_the_matrix(self, tmp_path):
+        n = 1000
+        path = tmp_path / "t.trn"
+        write_trn1(random_tournament(n, seed=1), path)
+        tracemalloc.start()
+        try:
+            T = read_trn1(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.n == n
+        assert peak <= 1.2 * n ** 2
+
+    def test_invariant_check_allocates_no_square(self):
+        n = 1000
+        adj = random_tournament(n, seed=2).adj
+        tracemalloc.start()
+        try:
+            _check_invariants(adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * n ** 2
+
+    @pytest.mark.parametrize("bad, first", [
+        ([(70, 140)], (70, 140)),
+        ([(70, 140), (100, 149)], (70, 140)),
+        ([(3, 9), (70, 140)], (3, 9)),
+    ])
+    def test_pair_violation_names_first_bad_pair(self, bad, first):
+        adj = random_tournament(150, seed=3).adj.copy()
+        for i, j in bad:
+            adj[i, j] = adj[j, i]
+        with pytest.raises(PairViolation) as exc:
+            Tournament(adj)
+        assert (exc.value.i, exc.value.j) == first
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 200])
+def test_in_masks_are_the_columns(n):
+    T = random_tournament(n, seed=n)
+    assert T.in_masks == rows_to_masks(T.adj.T)
