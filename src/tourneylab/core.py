@@ -13,6 +13,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -175,8 +176,10 @@ class VertexSubset:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, v: int) -> bool:
-        return bool(self.mask >> v & 1)
+    def __contains__(self, v) -> bool:
+        """Membership of a Python or numpy integer; False outside the universe."""
+        v = operator.index(v)
+        return 0 <= v < self.universe_n and bool(self.mask >> v & 1)
 
     def __iter__(self):
         return iter(self.members)

@@ -10,7 +10,8 @@ purpose:
   and one AND per BFS level from a table of the closed-neighbourhood
   unions of every vertex set);
 * ``brute_force_hamiltonian`` — Held–Karp dynamic programming over
-  (visited-subset, endpoint) states, the trust anchor for small n;
+  (visited-subset, endpoint) states, the trust anchor for small n: one
+  vectorized pull step per popcount layer, after a vertex-0 guard;
 * ``hamiltonian_batch`` — vectorized score-sequence test (a tournament is
   strong iff every proper prefix sum of its sorted score sequence strictly
   exceeds k(k-1)/2, Moon/Landau), used by the Monte Carlo estimator. One
@@ -30,6 +31,7 @@ construction never has to be trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .core import Tournament, VertexSubset
 from .errors import InvalidCertificate, TooLarge
 
 BRUTE_FORCE_MAX_N = 20
+_HK_CHUNK = 4096  # masks per Held–Karp gather; bounds its (chunk, n) temporaries
 
 
 @dataclass(frozen=True)
@@ -222,17 +225,14 @@ def hamilton_cycle(T: Tournament) -> HamiltonCertificate | None:
     return cert
 
 
-_LAYER_CACHE: dict[int, list[np.ndarray]] = {}
-
-
-def _odd_mask_layers(n: int) -> list[np.ndarray]:
+@cache
+def _odd_mask_layers(n: int) -> tuple[np.ndarray, ...]:
     """Masks containing bit 0, grouped by popcount; layers[k] has popcount k."""
-    layers = _LAYER_CACHE.get(n)
-    if layers is None:
-        masks = np.arange(1, 1 << n, 2, dtype=np.int64)
-        pop = np.bitwise_count(masks)
-        layers = [masks[pop == k] for k in range(n + 1)]
-        _LAYER_CACHE[n] = layers
+    masks = np.arange(1, 1 << n, 2, dtype=np.int32)
+    pop = np.bitwise_count(masks)
+    layers = tuple(masks[pop == k] for k in range(n + 1))
+    for layer in layers:
+        layer.flags.writeable = False  # shared by every call for this n
     return layers
 
 
@@ -241,34 +241,30 @@ def brute_force_hamiltonian(T: Tournament) -> bool:
 
     f[mask] is the bitset of endpoints e reachable by a directed path from
     vertex 0 covering exactly ``mask``; a Hamilton cycle exists iff some
-    full-cover endpoint has an edge back to 0. Layers are processed with
-    vectorized gathers so the n * 2^n state space stays cheap in Python.
+    full-cover endpoint has an edge back to 0, so a vertex 0 with no in-
+    or no out-neighbour answers False at once. Each popcount layer is one
+    pull step over chunks of masks: v != 0 ends a path on ``mask`` iff
+    f[mask ^ v] holds an in-neighbour of v, and for v outside ``mask``,
+    mask ^ v lies in the next layer, still 0. One float32 product ORs the
+    distinct bits 2^v < 2^20, exactly.
     """
     n = T.n
     if n > BRUTE_FORCE_MAX_N:
         raise TooLarge(n, BRUTE_FORCE_MAX_N)
-    if n < 3:
+    into_0 = T.in_masks[0]
+    if n < 3 or into_0 in (0, (1 << n) - 2):
         return False
-    in_masks = np.array(T.in_masks, dtype=np.int64)
-    f = np.zeros(1 << n, dtype=np.int64)
+    into = np.array(T.in_masks[1:], dtype=np.int32)
+    bits = np.left_shift(1, np.arange(1, n, dtype=np.int32))
+    weights = bits.astype(np.float32)
+    f = np.zeros(1 << n, dtype=np.int32)
     f[1] = 1
-    layers = _odd_mask_layers(n)
-    for k in range(1, n):
-        layer = layers[k]
-        fk = f[layer]
-        live = fk != 0
-        if not live.any():
-            continue
-        layer = layer[live]
-        fk = fk[live]
-        for v in range(1, n):
-            bit = 1 << v
-            sel = ((layer & bit) == 0) & ((fk & in_masks[v]) != 0)
-            if sel.any():
-                targets = layer[sel] | bit
-                f[targets] |= bit
-    closing = int(f[(1 << n) - 1]) & T.in_masks[0]
-    return closing != 0
+    for layer in _odd_mask_layers(n)[2:]:
+        for start in range(0, layer.size, _HK_CHUNK):
+            masks = layer[start:start + _HK_CHUNK]
+            ends = (f[masks[:, None] ^ bits] & into) != 0
+            f[masks] = ends @ weights
+    return int(f[-1]) & into_0 != 0
 
 
 def _prefix_dtype(n: int) -> np.dtype:

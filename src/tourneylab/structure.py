@@ -18,7 +18,7 @@ by phases of augmenting search; the last phase gives the König cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import ceil, inf, log, log1p, sqrt
 
 import numpy as np
 
@@ -416,4 +416,9 @@ def default_connector_k(p: float, t: int, sigma: float = 0.01) -> int:
     check_probability(p, "p")
     check_integer("t", t, 1)
     check_probability(sigma, "sigma")
-    return ceil(2 * log((t + 1) / sigma) / log(1 / (1 - p * p)))
+    # 1 - p^2 drops the low digits of p^2 as p -> 0; log1p keeps them
+    rate = -log1p(-p * p)
+    k = 2 * log((t + 1) / sigma) / rate if rate else inf
+    if k == inf:  # p^2 underflows to 0, or k overflows a float
+        raise BadParams(f"p = {p} is too small for a connector threshold")
+    return ceil(k)

@@ -257,6 +257,23 @@ class TestAnalyze:
         assert main(["analyze", "--file", missing, *flags]) == EXIT_BAD_PARAMS
         assert "error:" in capsys.readouterr().err
 
+    def test_tiny_p_default_k(self, tmp_path, capsys):
+        trn = tmp_path / "main.trn"
+        main(["gen", "main", "--n", "203", "--t", "1", "--out", str(trn)])
+        capsys.readouterr()
+        # k > 2^63 reaches the connector counts on the almost-directed branch
+        assert main(["analyze", "--file", str(trn), "--eps", "0.01",
+                     "--p", "1e-9"]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)
+        assert result["k"] > 10**19
+        assert result["branch"] == "almost-directed cut"
+        assert result["connector_count"] == 0
+        # p^2 underflows to 0: no threshold, and one error line, no traceback
+        assert main(["analyze", "--file", str(trn), "--p", "1e-200"]) == EXIT_BAD_PARAMS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
     def test_malformed_file_names_line(self, tmp_path, capsys):
         trn = write(tmp_path / "bad.trn", "TRN1 3\n010\n0x1\n100\n")
         assert main(["analyze", "--file", trn]) == EXIT_PARSE

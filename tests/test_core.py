@@ -163,6 +163,13 @@ class TestVertexSubset:
         assert VertexSubset.from_mask(8, s.mask) == s
         assert 3 in s and 4 not in s
 
+    def test_contains_takes_any_integer(self):
+        s = VertexSubset(100, [3, 90])
+        assert 3 in s and np.int64(3) in s and np.uint8(90) in s
+        assert 4 not in s and np.int32(4) not in s
+        assert -1 not in s and 100 not in s and np.int64(-1) not in s
+        assert 1 << 70 not in s
+
 
 class TestEdgeCount:
     def test_blocks(self):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tourneylab import (HamiltonCertificate, Tournament, VertexSubset,
                         brute_force_hamiltonian, check_certificate,
                         extremal_main, extremal_main_blocks,
-                        extremal_theorem1_even, hamilton_cycle,
+                        extremal_theorem1_even, extremal_theorem1_odd,
+                        hamilton_cycle,
                         hamiltonian_batch, hamiltonian_on_subset, induced,
                         is_hamiltonian, is_valid_certificate,
                         random_tournament, rotational_tournament, scc,
@@ -126,6 +127,63 @@ class TestBruteForce:
     def test_size_cap(self):
         with pytest.raises(TooLarge):
             brute_force_hamiltonian(transitive_tournament(21))
+
+
+def _with_vertex_0(T: Tournament, source: bool) -> Tournament:
+    """T with vertex 0 turned into a source (or a sink)."""
+    adj = T.adj.copy()
+    adj[0, 1:] = source
+    adj[1:, 0] = not source
+    return Tournament(adj)
+
+
+def _with_sink_appended(T: Tournament) -> Tournament:
+    """T plus one vertex that every vertex of T beats."""
+    adj = np.zeros((T.n + 1, T.n + 1), dtype=np.uint8)
+    adj[:T.n, :T.n] = T.adj
+    adj[:T.n, T.n] = 1
+    return Tournament(adj)
+
+
+def _relabelled(adj: np.ndarray, seed: int) -> Tournament:
+    perm = np.random.default_rng(seed).permutation(len(adj))
+    return Tournament(adj[np.ix_(perm, perm)])
+
+
+def _one_cycle(n: int, seed: int) -> Tournament:
+    """The transitive tournament with its edge 0 -> n-1 reversed, relabelled.
+    Its one Hamilton cycle is the transitive order closed by that edge, so
+    Held–Karp must find every state on one chain of masks."""
+    adj = transitive_tournament(n).adj.copy()
+    adj[0, n - 1], adj[n - 1, 0] = 0, 1
+    return _relabelled(adj, seed)
+
+
+def _held_karp_large_cases():
+    for n in range(17, 21):
+        yield pytest.param(lambda n=n: _one_cycle(n, n), id=f"one-cycle-{n}")
+        yield pytest.param(lambda n=n: _relabelled(transitive_tournament(n).adj, n),
+                           id=f"transitive-relabelled-{n}")
+    for n in range(17, 21):
+        for seed in (0, 1):
+            yield pytest.param(lambda n=n, seed=seed: random_tournament(n, seed),
+                               id=f"random-{n}-{seed}")
+    yield pytest.param(lambda: extremal_main(20, 1), id="main-20-1")
+    yield pytest.param(lambda: extremal_theorem1_odd(4), id="theorem1-odd-4")
+    yield pytest.param(lambda: transitive_tournament(20), id="transitive-20")
+    yield pytest.param(lambda: _with_vertex_0(random_tournament(20, 3), source=True),
+                       id="vertex-0-source")
+    yield pytest.param(lambda: _with_vertex_0(random_tournament(20, 3), source=False),
+                       id="vertex-0-sink")
+    yield pytest.param(lambda: _with_sink_appended(random_tournament(19, 4)),
+                       id="vertex-19-sink")
+
+
+@pytest.mark.parametrize("build", _held_karp_large_cases())
+def test_held_karp_n17_to_20_agrees_with_bfs(build):
+    T = build()
+    assert 17 <= T.n <= 20
+    assert brute_force_hamiltonian(T) == is_hamiltonian(T)
 
 
 class TestHamiltonCycle:

@@ -512,6 +512,17 @@ class TestGoodnessAndDefaults:
         with pytest.raises(BadParams):
             default_connector_k(0.5, 0)
 
+    def test_default_connector_k_small_p(self):
+        # ln(1/(1 - p^2)) = p^2 + p^4/2 + ...; the exact k at p = 1e-4 is
+        # 1,059,663,469, and 1 - p^2 rounds it away for smaller p
+        assert default_connector_k(1e-4, 1, 0.01) == 1_059_663_469
+        k = default_connector_k(1e-8, 1, 0.01)
+        assert k == pytest.approx(2 * math.log(200) / (1e-16 + 1e-32 / 2), rel=1e-12)
+        assert default_connector_k(1e-9, 1, 0.01) > 10**19
+        for p in (1e-154, 1e-200, 5e-324):  # k overflows a float, or p^2 is 0
+            with pytest.raises(BadParams):
+                default_connector_k(p, 1)
+
     def test_flat_json_serializations(self):
         T = extremal_main(24, 2)
         P = main_blocks_partition(24, 2)
