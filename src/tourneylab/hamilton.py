@@ -19,7 +19,11 @@ purpose:
   non-member's value, and a row is strong iff the only k at which the
   sorted int32 prefix sums meet C(k,2) - n*k is k = |S| (int64 only once
   n^2 >= 2^31); ``scc`` cuts the sorted score sequence where that prefix
-  sum is equal.
+  sum is equal. ``sampling.estimate_sweep`` builds adj^T - n*I once per
+  sweep and runs the same prefix test (``_landau_strong``) only on the
+  rows it cannot decide by absorption: a subset that grows a strong
+  subset by vertices that each have an in- and an out-neighbour in it
+  is strong.
 
 They are cross-checked against each other in the test suite.
 ``hamilton_cycle`` builds the certificate: a Hamilton path by binary
@@ -298,16 +302,32 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     far inside float32's 2^24, so they are sorted as float32; the prefixes
     lie in [-n^2, 0] and are summed in int32 unless n^2 >= 2^31
     (_prefix_dtype).
+
+    The product (_shifted_adjacency) and the prefix test (_landau_strong)
+    are separate so that the estimator's sweep builds M once and runs the
+    test only on the rows it cannot decide by absorption.
     """
     if inclusion.ndim != 2 or inclusion.shape[1] != T.n:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")
+    return _landau_strong(inclusion.astype(np.float32) @ _shifted_adjacency(T))
+
+
+def _shifted_adjacency(T: Tournament) -> np.ndarray:
+    """M = adj^T - n*I in float32 with one more column of ones, (n, n + 1):
+    the right-hand side of hamiltonian_batch's product."""
     n = T.n
-    # one n x (n+1) copy per call, small beside the (batch, n) x (n, n+1) product
     shifted = np.ones((n, n + 1), dtype=np.float32)
     shifted[:, :n] = T.adj.T
     np.fill_diagonal(shifted[:, :n], -n)
+    return shifted
+
+
+def _landau_strong(product: np.ndarray) -> np.ndarray:
+    """hamiltonian_batch's prefix test on product = inclusion @ M (see
+    _shifted_adjacency): True where T[S_r] is Hamiltonian. Sorts the
+    product's score columns in place."""
+    n = product.shape[1] - 1
     dtype = _prefix_dtype(n)
-    product = inclusion.astype(np.float32) @ shifted
     sizes = product[:, n]
     width = int(sizes.max(initial=0))  # 0 for a batch of no rows
     scores = product[:, :n]

@@ -21,6 +21,14 @@ returns (x >> 11) * 2^-53, so the counts equal those of the uniform draw.
 A block's words do not depend on p, only the threshold does, so a sweep
 over several p draws each block once and every p's count equals that of
 a one-p estimate.
+
+The sweep's subsets are nested: at one block row, S(p) grows with p. If
+T[S_b] is strong and every vertex of S_j ∖ S_b has an in- and an
+out-neighbour in S_b, then T[S_j] is strong (absorption, as in Camion's
+cycle growth). So a row whose last kernel-checked subset was strong is
+counted at a larger p without the score kernel while the new subset
+holds no vertex that lacks such a neighbour, and the kernel runs only on
+the rows left. The rule is exact, so every count is the kernel's own.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from numpy.random import Generator, Philox
 
 from .core import Tournament, VertexSubset
 from .errors import BadParams, TooLarge, check_integer, check_probability
-from .hamilton import hamiltonian_batch
+from .hamilton import _landau_strong, _shifted_adjacency
 
 EXACT_MAX_N = 20
 CLOSURE_CHUNK = 1 << 14
@@ -177,6 +185,16 @@ def estimate_sweep(
     reaches; with those thresholds ascending, the word is below the one at
     index j iff its level is at most j, so block memory does not grow with
     the number of p. Every report's wall_time is the whole sweep's.
+
+    The levels run in ascending order, and the score kernel runs at level
+    j only on the rows that absorption cannot decide. Each row keeps
+    whether its last kernel-checked subset S_b was strong and the lowest
+    level of a vertex blocked by S_b, one with no in- or no out-neighbour
+    in S_b; in the kernel's product a non-member's entry is its
+    out-degree into S_b, so it is blocked iff that entry is 0 or |S_b|.
+    A row whose S_b was strong and whose S_j holds no blocked vertex is
+    strong without the kernel. The last level computes no blocked
+    vertices, so a one-p estimate runs the kernel once on every row.
     """
     plans = [SamplePlan(p=p, trials=trials, master_seed=master_seed) for p in p_values]
     if not plans:
@@ -189,7 +207,9 @@ def estimate_sweep(
     start = time.perf_counter()
     thresholds = np.array([_word_threshold(plan.p) for plan in plans], dtype=np.uint64)
     distinct = np.unique(thresholds)
+    last = len(distinct) - 1
     level_dtype = np.min_scalar_type(len(distinct))
+    shifted = _shifted_adjacency(T)
 
     def run_block(b: int) -> np.ndarray:
         rows = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
@@ -201,8 +221,26 @@ def estimate_sweep(
         # lifts a block's heap peak past the C allocator's trim threshold,
         # and each block then faults its pages in afresh.
         del words
-        return np.array([np.count_nonzero(hamiltonian_batch(T, level <= j))
-                         for j in range(len(distinct))], dtype=np.int64)
+        counts = np.zeros(last + 1, dtype=np.int64)
+        # Row r is Hamiltonian at every level below reach[r] by absorption
+        # into the last subset the kernel found strong; 0 until it has one.
+        reach = np.zeros(rows, dtype=level_dtype)
+        for j in range(last + 1):
+            redo = reach <= j
+            row_level = level[redo] if j else level  # all rows at the first level
+            product = (row_level <= j).astype(np.float32) @ shifted
+            if j < last:
+                # A non-member's entry is its out-degree into S: 0 means it
+                # has no out-neighbour in S and |S| no in-neighbour, so it
+                # blocks absorption. Members' entries are negative.
+                out = product[:, :n]
+                blocked = (out == 0) | (out == product[:, n:])
+                first_blocked = row_level.min(axis=1, where=blocked, initial=last + 1)
+            strong = _landau_strong(product)
+            counts[j] = rows - len(row_level) + np.count_nonzero(strong)
+            if j < last:
+                reach[redo] = np.where(strong, first_blocked, 0)
+        return counts
 
     if workers == 1 or n_blocks == 1:
         counts = sum(run_block(b) for b in range(n_blocks))

@@ -416,9 +416,15 @@ def default_connector_k(p: float, t: int, sigma: float = 0.01) -> int:
     check_probability(p, "p")
     check_integer("t", t, 1)
     check_probability(sigma, "sigma")
+    try:
+        ratio = (t + 1) / sigma
+    except OverflowError:  # t + 1 does not convert to a float
+        ratio = inf
+    if ratio == inf:
+        raise BadParams("t is too large for a connector threshold")
     # 1 - p^2 drops the low digits of p^2 as p -> 0; log1p keeps them
     rate = -log1p(-p * p)
-    k = 2 * log((t + 1) / sigma) / rate if rate else inf
+    k = 2 * log(ratio) / rate if rate else inf
     if k == inf:  # p^2 underflows to 0, or k overflows a float
         raise BadParams(f"p = {p} is too small for a connector threshold")
     return ceil(k)

@@ -274,6 +274,16 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
+    def test_huge_t_default_k(self, tmp_path, capsys):
+        trn = tmp_path / "main.trn"
+        main(["gen", "main", "--n", "31", "--t", "1", "--out", str(trn)])
+        capsys.readouterr()
+        # t + 1 does not convert to a float: no threshold, one error line
+        assert main(["analyze", "--file", str(trn), "--t", "9" * 310]) == EXIT_BAD_PARAMS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
     def test_malformed_file_names_line(self, tmp_path, capsys):
         trn = write(tmp_path / "bad.trn", "TRN1 3\n010\n0x1\n100\n")
         assert main(["analyze", "--file", trn]) == EXIT_PARSE

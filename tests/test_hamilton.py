@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from conftest import (bfs_reachable, planted_blocks,
@@ -16,7 +18,7 @@ from tourneylab import (HamiltonCertificate, Tournament, VertexSubset,
                         strongly_connected, transitive_tournament)
 from tourneylab.core import MAX_VERTICES
 from tourneylab.errors import InvalidCertificate, TooLarge
-from tourneylab.hamilton import _prefix_dtype
+from tourneylab.hamilton import _HK_CHUNK, _odd_mask_layers, _prefix_dtype
 
 
 def strong_tournaments(max_n=11):
@@ -184,6 +186,39 @@ def test_held_karp_n17_to_20_agrees_with_bfs(build):
     T = build()
     assert 17 <= T.n <= 20
     assert brute_force_hamiltonian(T) == is_hamiltonian(T)
+
+
+def _path_tournament(n: int) -> np.ndarray:
+    """i -> i+1, and j -> i for j >= i + 2. Vertex i's only out-neighbour
+    above it is i + 1, so 0 -> 1 -> ... -> n-1 -> 0 is its one Hamilton cycle."""
+    adj = np.tril(np.ones((n, n), dtype=np.uint8), -2)
+    adj[np.arange(n - 1), np.arange(1, n)] = 1
+    return adj
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_path_tournament_has_one_hamilton_cycle(n):
+    adj = _path_tournament(n).tolist()
+    cycles = sum(all(adj[c[i - 1]][c[i]] for i in range(n))
+                 for c in ((0, *rest) for rest in permutations(range(1, n))))
+    assert cycles == 1
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_held_karp_keeps_the_last_mask_of_a_chunk(n):
+    # Relabel the path tournament so that a prefix of its one 0-rooted
+    # Hamilton path is the mask in the last slot of a full chunk: one
+    # dropped state there loses the only cycle.
+    layer = _odd_mask_layers(n)[(n + 1) // 2]
+    assert layer.size >= _HK_CHUNK
+    mask = int(layer[layer.size // _HK_CHUNK * _HK_CHUNK - 1])
+    order = ([v for v in range(n) if mask >> v & 1]
+             + [v for v in range(n) if not mask >> v & 1])
+    adj = np.empty((n, n), dtype=np.uint8)
+    adj[np.ix_(order, order)] = _path_tournament(n)  # order[i] plays vertex i
+    T = Tournament(adj)
+    assert brute_force_hamiltonian(T)
+    assert is_hamiltonian(T)
 
 
 class TestHamiltonCycle:

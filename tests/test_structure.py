@@ -523,6 +523,20 @@ class TestGoodnessAndDefaults:
             with pytest.raises(BadParams):
                 default_connector_k(p, 1)
 
+    @pytest.mark.parametrize("p, t, sigma, want", [
+        (0.3, 1, 0.01, 113), (0.5, 1, 0.01, 37), (0.7, 1, 0.01, 16),
+        (0.5, 2, 0.01, 40), (0.3, 3, 0.05, 93), (0.9, 7, 0.5, 4),
+        (1e-4, 5, 0.2, 680_239_473), (0.5, 10**300, 0.01, 4835),
+        (0.5, 10**306, 0.01, 4931)])
+    def test_default_connector_k_pinned(self, p, t, sigma, want):
+        assert default_connector_k(p, t, sigma) == want
+
+    @pytest.mark.parametrize("t", [10**307, 10**310, 10**400])
+    def test_default_connector_k_huge_t(self, t):
+        # (t + 1) / sigma overflows to inf, or t + 1 has no float at all
+        with pytest.raises(BadParams, match="t is too large"):
+            default_connector_k(0.5, t)
+
     def test_flat_json_serializations(self):
         T = extremal_main(24, 2)
         P = main_blocks_partition(24, 2)

@@ -7,8 +7,9 @@ import pytest
 from tourneylab import (SamplePlan, estimate_hamiltonian_probability,
                         estimate_sweep, extremal_main, hamiltonian_batch,
                         random_tournament, transitive_tournament)
-from tourneylab import sampling
+from tourneylab import Tournament, sampling
 from tourneylab.errors import BadParams
+from tourneylab.hamilton import _landau_strong
 from tourneylab.sampling import BLOCK_TRIALS, _block_uniforms, _word_threshold
 
 SWEEP_PS = [0.7, 0.05, 0.5, 0.5]  # unsorted, with a duplicate
@@ -65,6 +66,57 @@ class TestSweep:
     def test_bad_p_values_rejected(self, ps):
         with pytest.raises(BadParams):
             estimate_sweep(random_tournament(12, 1), ps, 100, 1)
+
+
+def _with_vertex_appended(T, sink):
+    """T plus one vertex that every vertex of T beats (a sink) or that
+    beats every vertex of T (a source)."""
+    adj = np.zeros((T.n + 1, T.n + 1), dtype=np.uint8)
+    adj[:T.n, :T.n] = T.adj
+    adj[:T.n, T.n] = sink
+    adj[T.n, :T.n] = not sink
+    return Tournament(adj)
+
+
+class TestAbsorption:
+    """The sweep counts a row strong without the kernel when it only adds
+    vertices with an in- and an out-neighbour in a smaller strong subset;
+    every count must still equal the kernel's own on that p's draw."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("T, ps, trials", [
+        # the sink has no out-neighbour (the source no in-neighbour) in any
+        # subset, so a row that gains it must go back to the kernel
+        (_with_vertex_appended(random_tournament(30, 4), sink=True),
+         [0.3, 0.5, 0.7, 0.9], TRIALS),
+        (_with_vertex_appended(random_tournament(30, 4), sink=False),
+         [0.3, 0.5, 0.7, 0.9], TRIALS),
+        # lower levels hold empty and 1-2 vertex rows
+        (random_tournament(40, 3), [0.001, 0.01, 0.03, 0.1, 0.6], TRIALS),
+        (transitive_tournament(25), [0.2, 0.5, 0.8], TRIALS),
+        # 300 distinct thresholds: the levels are uint16
+        (random_tournament(20, 5), list(np.linspace(0.05, 0.95, 300)), 300),
+    ], ids=["sink", "source", "tiny-p", "transitive", "300-levels"])
+    def test_counts_equal_the_per_p_kernel(self, T, ps, trials, threads):
+        reports = estimate_sweep(T, ps, trials, 23, threads=threads)
+        assert [r.successes for r in reports] == [
+            per_p_count(T, p, trials, 23) for p in ps]
+
+    def test_levels_after_the_first_see_fewer_rows(self, monkeypatch):
+        seen = []
+
+        def counting(product):
+            seen.append(len(product))
+            return _landau_strong(product)
+
+        monkeypatch.setattr(sampling, "_landau_strong", counting)
+        T = random_tournament(40, 3)
+        estimate_sweep(T, [0.3, 0.5, 0.7], BLOCK_TRIALS, 5, threads=1)
+        assert seen[0] == BLOCK_TRIALS and len(seen) == 3
+        assert all(0 < rows < BLOCK_TRIALS for rows in seen[1:])
+        seen.clear()
+        estimate_sweep(T, [0.5], TRIALS, 5, threads=1)
+        assert seen == [BLOCK_TRIALS, BLOCK_TRIALS, TRIALS - 2 * BLOCK_TRIALS]
 
 
 class TestBatchKernelEdges:
