@@ -223,16 +223,15 @@ def estimate_sweep(
         del words
         counts = np.zeros(last + 1, dtype=np.int64)
         # Row r is Hamiltonian at every level below reach[r] by absorption
-        # into the last subset the kernel found strong; 0 until it has one.
+        # into its last kernel-checked subset; 0 while that is not strong.
         reach = np.zeros(rows, dtype=level_dtype)
         for j in range(last + 1):
             redo = reach <= j
             row_level = level[redo] if j else level  # all rows at the first level
             product = (row_level <= j).astype(np.float32) @ shifted
             if j < last:
-                # A non-member's entry is its out-degree into S: 0 means it
-                # has no out-neighbour in S and |S| no in-neighbour, so it
-                # blocks absorption. Members' entries are negative.
+                # out-degree 0 or |S| into S: no out- or no in-neighbour
+                # there (members' entries are negative and never block)
                 out = product[:, :n]
                 blocked = (out == 0) | (out == product[:, n:])
                 first_blocked = row_level.min(axis=1, where=blocked, initial=last + 1)
