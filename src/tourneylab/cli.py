@@ -102,9 +102,11 @@ class ExperimentConfig:
 def run_sweep(config: ExperimentConfig) -> dict:
     """Execute the sweep and return the SweepReport as a plain dict."""
     T = config.load_tournament()
+    # the bounds first: a t they cannot take fails before the sampling
+    bounds = [theoretical_bound(T.n, config.t, p) for p in config.p_values]
     rows = []
-    for est in estimate_sweep(T, config.p_values, config.trials, config.master_seed):
-        bound = theoretical_bound(T.n, config.t, est.p)
+    for est, bound in zip(estimate_sweep(T, config.p_values, config.trials,
+                                         config.master_seed), bounds):
         row = est.to_json_dict()
         row["bound"] = bound.bound_value
         row["improved"] = bound.improved

@@ -347,8 +347,6 @@ def write_trn1(T: Tournament, path) -> None:
 
 def edge_count(T: Tournament, frm: Sequence[int], to: Sequence[int]) -> int:
     """Number of edges directed from ``frm`` into ``to`` (the parts may overlap)."""
-    if len(frm) == 0 or len(to) == 0:
-        return 0
     a = np.fromiter(frm, dtype=np.intp, count=len(frm))
     b = np.fromiter(to, dtype=np.intp, count=len(to))
     return int(T.adj[np.ix_(a, b)].sum(dtype=np.int64))

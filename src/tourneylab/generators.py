@@ -95,6 +95,19 @@ def near_regular_tournament(m: int) -> Tournament:
     return Tournament(adj, _trusted=True)
 
 
+def _blocks(parts: list[Tournament], arcs: list[tuple[int, int]]) -> Tournament:
+    """Block tournament: the parts on the diagonal in order, and for each
+    (i, j) in ``arcs`` every vertex of part i beats every vertex of part j.
+    ``arcs`` must hold each pair of parts once, in one direction."""
+    ends = np.cumsum([0] + [part.n for part in parts])
+    adj = np.zeros((ends[-1], ends[-1]), dtype=np.uint8)
+    for i, part in enumerate(parts):
+        adj[ends[i]:ends[i + 1], ends[i]:ends[i + 1]] = part.adj
+    for i, j in arcs:
+        adj[ends[i]:ends[i + 1], ends[j]:ends[j + 1]] = 1
+    return Tournament(adj, _trusted=True)
+
+
 def extremal_theorem1_even(k: int) -> Tournament:
     """n = 4k+2 block construction A -> B with k-regular halves.
 
@@ -103,14 +116,9 @@ def extremal_theorem1_even(k: int) -> Tournament:
     """
     if k < 1:
         raise BadParams(f"even construction needs k >= 1, got {k}")
-    h = 2 * k + 1
-    _check_order(2 * h)
-    half = rotational_tournament(k).adj
-    adj = np.zeros((2 * h, 2 * h), dtype=np.uint8)
-    adj[:h, :h] = half
-    adj[h:, h:] = half
-    adj[:h, h:] = 1
-    return Tournament(adj, _trusted=True)
+    _check_order(4 * k + 2)
+    half = rotational_tournament(k)
+    return _blocks([half, half], [(0, 1)])
 
 
 def extremal_theorem1_odd(k: int) -> Tournament:
@@ -122,17 +130,9 @@ def extremal_theorem1_odd(k: int) -> Tournament:
     """
     if k < 1:
         raise BadParams(f"odd construction needs k >= 1, got {k}")
-    h = 2 * k + 1
-    n = 2 * h + 1
-    _check_order(n)
-    half = rotational_tournament(k).adj
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[:h, :h] = half
-    adj[h : 2 * h, h : 2 * h] = half
-    adj[:h, h : 2 * h] = 1  # A -> B
-    adj[h : 2 * h, n - 1] = 1  # B -> v
-    adj[n - 1, :h] = 1  # v -> A
-    T = Tournament(adj, _trusted=True)
+    _check_order(4 * k + 3)
+    half = rotational_tournament(k)
+    T = _blocks([half, half, transitive_tournament(1)], [(0, 1), (1, 2), (2, 0)])
     assert semidegrees(T).min_semidegree == k + 1
     return T
 
@@ -155,14 +155,9 @@ def extremal_main(n: int, t: int) -> Tournament:
     """
     ra, rb, rx = extremal_main_blocks(n, t)
     _check_order(n)
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[np.ix_(ra, ra)] = near_regular_tournament(len(ra)).adj
-    adj[np.ix_(rb, rb)] = near_regular_tournament(len(rb)).adj
-    adj[np.ix_(rx, rx)] = transitive_tournament(len(rx)).adj
-    adj[np.ix_(ra, rb)] = 1
-    adj[np.ix_(rb, rx)] = 1
-    adj[np.ix_(rx, ra)] = 1
-    return Tournament(adj, _trusted=True)
+    parts = [near_regular_tournament(len(ra)), near_regular_tournament(len(rb)),
+             transitive_tournament(len(rx))]
+    return _blocks(parts, [(0, 1), (1, 2), (2, 0)])
 
 
 # family -> (builder, its integer parameters in call order); random also takes the seed

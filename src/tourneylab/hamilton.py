@@ -6,24 +6,15 @@ purpose:
 
 * ``is_hamiltonian`` — forward+backward bitset BFS from one vertex
   (``sampling.hamiltonian_subset_size_counts`` runs the same closure for
-  all 2^n vertex subsets at once over int32 bitsets, one buffered gather
-  and one AND per BFS level from a table of the closed-neighbourhood
-  unions of every vertex set);
+  all 2^n vertex subsets at once);
 * ``brute_force_hamiltonian`` — Held–Karp dynamic programming over
-  (visited-subset, endpoint) states, the trust anchor for small n: one
-  vectorized pull step per popcount layer, after a vertex-0 guard;
+  (visited-subset, endpoint) states, the trust anchor for small n;
 * ``hamiltonian_batch`` — vectorized score-sequence test (a tournament is
   strong iff every proper prefix sum of its sorted score sequence strictly
-  exceeds k(k-1)/2, Moon/Landau), used by the Monte Carlo estimator. One
-  float32 product with adj^T - n*I shifts the members' scores below every
-  non-member's value, and a row is strong iff the only k at which the
-  sorted int32 prefix sums meet C(k,2) - n*k is k = |S| (int64 only once
-  n^2 >= 2^31); ``scc`` cuts the sorted score sequence where that prefix
-  sum is equal. ``sampling.estimate_sweep`` builds adj^T - n*I once per
-  sweep and runs the same prefix test (``_landau_strong``) only on the
-  rows it cannot decide by absorption: a subset that grows a strong
-  subset by vertices that each have an in- and an out-neighbour in it
-  is strong.
+  exceeds k(k-1)/2, Moon/Landau), used by the Monte Carlo estimator; its
+  docstring gives the kernel, and ``sampling.estimate_sweep``'s the rows
+  the sweep decides without it. ``scc`` reads the same score order
+  through ``_top_scorers``.
 
 They are cross-checked against each other in the test suite.
 ``hamilton_cycle`` builds the certificate: a Hamilton path by binary
@@ -120,8 +111,6 @@ def strong_on_mask(out_rows: list[int], in_rows: list[int], mask: int) -> bool:
     vertex and that vertex is reachable from every vertex, hence one
     forward and one backward BFS suffice. Empty masks count as strong.
     """
-    if mask == 0:
-        return True
     start = mask & -mask
     if reach_on_mask(out_rows, mask, start) != mask:
         return False
@@ -155,19 +144,33 @@ class SccDecomposition:
     topological_order: tuple[int, ...]
 
 
+def _top_scorers(T: Tournament) -> tuple[np.ndarray, np.ndarray]:
+    """(order, e_top): the vertices by descending score, ties to the lower
+    label, and e_top[k - 1] = the number of edges from the k highest
+    scorers to the other n - k.
+
+    Each pair among k vertices carries one edge, so k vertices send out
+    their score sum minus k(k-1)/2, and no k vertices send out more than
+    the k highest scorers (Landau 1953).
+    """
+    scores = T.out_degrees()
+    order = np.argsort(-scores, kind="stable")
+    k = np.arange(1, T.n + 1, dtype=np.int64)
+    return order, np.cumsum(scores[order]) - k * (k - 1) // 2
+
+
 def scc(T: Tournament) -> SccDecomposition:
     """Components from the score sequence (Landau 1953), source-first.
 
-    A set of k vertices dominates the other n-k iff its scores sum to
-    k(k-1)/2 + k(n-k), the most any k vertices can score; such a set is
-    exactly the k highest scorers. The components are therefore the runs
-    of the descending score order between those tie points.
+    A set of k vertices dominates the other n-k iff it sends them all
+    k(n-k) edges, and only the k highest scorers can (_top_scorers). The
+    components are therefore the runs of the descending score order
+    between the k where e_top = k(n-k).
     """
     n = T.n
-    scores = T.out_degrees()
-    order = np.argsort(-scores, kind="stable")
+    order, e_top = _top_scorers(T)
     k = np.arange(1, n + 1, dtype=np.int64)
-    cut = np.cumsum(scores[order]) == k * (k - 1) // 2 + k * (n - k)
+    cut = e_top == k * (n - k)
     component_of = np.empty(n, dtype=np.int64)
     component_of[order] = np.cumsum(cut) - cut
     count = int(cut.sum())
@@ -185,13 +188,12 @@ def hamilton_cycle(T: Tournament) -> HamiltonCertificate | None:
     vertex the whole cycle beats goes in with the stretch of path up to
     the first vertex that has an edge into the cycle, just before that
     vertex's first out-neighbour on the cycle. The construction stops
-    early exactly when T is not strong: with no closing vertex, path[0]
-    is a source; with no edge from the rest of the path into the cycle,
-    the cycle dominates it. The output always passes check_certificate.
+    early exactly when T is not strong or n = 1: with no closing vertex,
+    path[0] is a source or alone; with no edge from the rest of the path
+    into the cycle, the cycle dominates it. The output always passes
+    check_certificate.
     """
     n = T.n
-    if n < 3:
-        return None
     adj = T.adj
     path = [0]
     for v in range(1, n):
@@ -256,7 +258,7 @@ def brute_force_hamiltonian(T: Tournament) -> bool:
     if n > BRUTE_FORCE_MAX_N:
         raise TooLarge(n, BRUTE_FORCE_MAX_N)
     into_0 = T.in_masks[0]
-    if n < 3 or into_0 in (0, (1 << n) - 2):
+    if into_0 in (0, (1 << n) - 2):
         return False
     into = np.array(T.in_masks[1:], dtype=np.int32)
     bits = np.left_shift(1, np.arange(1, n, dtype=np.int32))
@@ -304,8 +306,8 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     (_prefix_dtype).
 
     The product (_shifted_adjacency) and the prefix test (_landau_strong)
-    are separate so that the estimator's sweep builds M once and runs the
-    test only on the rows it cannot decide by absorption.
+    are separate so that sampling.estimate_sweep builds M once per sweep
+    and skips the test on the rows it decides by absorption.
     """
     if inclusion.ndim != 2 or inclusion.shape[1] != T.n:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")

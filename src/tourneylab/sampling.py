@@ -20,15 +20,9 @@ exactly ``Generator.random() < p`` on the same stream, since random()
 returns (x >> 11) * 2^-53, so the counts equal those of the uniform draw.
 A block's words do not depend on p, only the threshold does, so a sweep
 over several p draws each block once and every p's count equals that of
-a one-p estimate.
-
-The sweep's subsets are nested: at one block row, S(p) grows with p. If
-T[S_b] is strong and every vertex of S_j ∖ S_b has an in- and an
-out-neighbour in S_b, then T[S_j] is strong (absorption, as in Camion's
-cycle growth). So a row whose last kernel-checked subset was strong is
-counted at a larger p without the score kernel while the new subset
-holds no vertex that lacks such a neighbour, and the kernel runs only on
-the rows left. The rule is exact, so every count is the kernel's own.
+a one-p estimate. The sweep's subsets are nested, S(p) growing with p
+at one block row, so a larger p counts some rows by absorption without
+the score kernel; estimate_sweep gives the rule, which is exact.
 """
 
 from __future__ import annotations
@@ -186,8 +180,11 @@ def estimate_sweep(
     index j iff its level is at most j, so block memory does not grow with
     the number of p. Every report's wall_time is the whole sweep's.
 
-    The levels run in ascending order, and the score kernel runs at level
-    j only on the rows that absorption cannot decide. Each row keeps
+    The levels run in ascending order. If T[S_b] is strong and every
+    vertex of S_j ∖ S_b has an in- and an out-neighbour in S_b, then
+    T[S_j] is strong (absorption, as in Camion's cycle growth), so the
+    score kernel runs at level j only on the rows this cannot decide, and
+    every count is still the kernel's own. Each row keeps
     whether its last kernel-checked subset S_b was strong and the lowest
     level of a vertex blocked by S_b, one with no in- or no out-neighbour
     in S_b; in the kernel's product a non-member's entry is its
@@ -241,11 +238,12 @@ def estimate_sweep(
                 reach[redo] = np.where(strong, first_blocked, 0)
         return counts
 
-    if workers == 1 or n_blocks == 1:
-        counts = sum(run_block(b) for b in range(n_blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            counts = sum(pool.map(run_block, range(n_blocks)))
+    # pool.map submits all of its blocks at once, about 1.9 KB each, so
+    # they go in windows: the pending blocks stay few at any trial count
+    window = 64 * workers
+    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+        counts = sum(sum(pool.map(run_block, range(b, min(b + window, n_blocks))))
+                     for b in range(0, n_blocks, window))
 
     wall_time = time.perf_counter() - start
     reports = []
@@ -371,4 +369,8 @@ def theoretical_bound(n: int, t: int, p: float) -> BoundSpec:
     check_probability(p)
     improved = (n - t) % 4 == 1
     expo = t + 1 if improved else t
-    return BoundSpec(n=n, t=t, p=p, bound_value=1.0 - (1.0 - p) ** expo, improved=improved)
+    try:
+        bound_value = 1.0 - (1.0 - p) ** expo
+    except OverflowError:  # the exponent does not convert to a float
+        raise BadParams("t is too large for the bound 1 - (1 - p)^t") from None
+    return BoundSpec(n=n, t=t, p=p, bound_value=bound_value, improved=improved)

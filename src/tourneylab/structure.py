@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Tournament, VertexSubset
 from .errors import BadParams, EmptyPart, check_integer, check_probability
-from .hamilton import hamiltonian_on_subset, reach_on_mask
+from .hamilton import _top_scorers, hamiltonian_on_subset, reach_on_mask
 
 
 class Partition:
@@ -51,6 +51,15 @@ class Partition:
     @property
     def universe_n(self) -> int:
         return self.A.universe_n
+
+    def move_to_x(self, vertices) -> "Partition":
+        """The partition with ``vertices`` taken out of A and B into X. A
+        and B keep their order; X comes out sorted."""
+        moved = set(vertices)
+        return Partition.from_members(self.universe_n,
+                                      [v for v in self.A if v not in moved],
+                                      [v for v in self.B if v not in moved],
+                                      sorted(moved.union(self.X)))
 
     def to_json_dict(self) -> dict:
         return {"A": list(self.A.members), "B": list(self.B.members),
@@ -163,26 +172,19 @@ def evaluate_goodness(T: Tournament, P: Partition, eps: float) -> GoodnessReport
 def balanced_cut_search(T: Tournament) -> CutResult:
     """Max-density balanced directed cut, exact for every n >= 2.
 
-    Each pair inside A carries exactly one edge, so e(A,B) is the sum of
-    d+(a) over A minus |A|(|A|-1)/2, and the best A of each size is the
-    set of highest scorers (Landau 1953). Ties in score go to the lower
-    label. For odd n both sizes n//2 and n - n//2 have the same |A||B|,
-    so the larger e(A,B) wins, n//2 on a tie.
+    The best A of each size is the set of highest scorers, ties in score
+    to the lower label, and e_top gives its e(A,B) (_top_scorers). For odd
+    n both sizes n//2 and n - n//2 have the same |A||B|, so the larger
+    e(A,B) wins, n//2 on a tie.
     """
     n = T.n
     if n < 2:
         raise BadParams("cut search needs n >= 2")
-    out = T.out_degrees()
-    order = np.argsort(-out, kind="stable")
-    prefix = np.cumsum(out[order])
-
-    def e_top(k: int) -> int:  # e(A,B) for A = the k highest scorers
-        return int(prefix[k - 1]) - k * (k - 1) // 2
-
-    k = max((n // 2, n - n // 2), key=e_top)
+    order, e_top = _top_scorers(T)
+    k = max((n // 2, n - n // 2), key=lambda k: e_top[k - 1])
     a = VertexSubset(n, sorted(order[:k].tolist()))
     b = VertexSubset(n, sorted(order[k:].tolist()))
-    return CutResult(A=a, B=b, density=e_top(k) / (k * (n - k)))
+    return CutResult(A=a, B=b, density=int(e_top[k - 1]) / (k * (n - k)))
 
 
 def removal_sets(
@@ -227,22 +229,11 @@ def clean_to_good_partition(
     The procedure always runs; when the input cut is not actually
     almost-directed, the report's flags come back false honestly.
     """
-    n = T.n
     _check_cleaning_eps(eps)
-    if A0.universe_n != n or B0.universe_n != n:
-        raise BadParams("cut parts live in a different universe than T")
-    if A0.mask & B0.mask or A0.mask | B0.mask != (1 << n) - 1:
-        raise BadParams("(A0, B0) must partition the vertex set")
+    cut = Partition(A0, B0, VertexSubset(T.n, []))  # checks (A0, B0) partitions V(T)
     if abs(len(A0) - len(B0)) > 1:
         raise BadParams("(A0, B0) must be balanced")
-
-    a_minus, a_plus, b_plus, b_minus = removal_sets(T, A0, B0, eps)
-    drop_a = set(a_minus) | set(a_plus)
-    drop_b = set(b_plus) | set(b_minus)
-    a = [v for v in A0.members if v not in drop_a]
-    b = [v for v in B0.members if v not in drop_b]
-    x = sorted(drop_a | drop_b)
-    part = Partition.from_members(n, a, b, x)
+    part = cut.move_to_x(v for drop in removal_sets(T, A0, B0, eps) for v in drop)
     return part, evaluate_goodness(T, part, eps ** (1 / 3))
 
 
@@ -269,35 +260,23 @@ def refine_partition(T: Tournament, P: Partition, k: int, t: int) -> RefineResul
     ia, in_a = _in_from(T, P.A.members)
     ib, in_b = _in_from(T, P.B.members)
     thresh = k + t
-    move_b: list[int] = []
-    move_a: list[int] = []
-    if len(ia) and len(ib):
-        move_b = ib[len(ia) - in_a[ib] >= thresh].tolist()
-        move_a = ia[in_b[ia] >= thresh].tolist()
+    move_b = ib[len(ia) - in_a[ib] >= thresh].tolist()
+    move_a = ia[in_b[ia] >= thresh].tolist()
     if len(move_b) > t or len(move_a) > t:
         return RefineResult(P, (), True)
     if not move_b and not move_a:
         return RefineResult(P, (), False)
-    moved = set(move_a) | set(move_b)
-    part = Partition.from_members(
-        T.n,
-        [v for v in P.A.members if v not in moved],
-        [v for v in P.B.members if v not in moved],
-        sorted(set(P.X.members) | moved),
-    )
-    return RefineResult(part, tuple(sorted(moved)), False)
+    moved = move_a + move_b
+    return RefineResult(P.move_to_x(moved), tuple(sorted(moved)), False)
 
 
 def k_connectors(T: Tournament, P: Partition, k: int) -> VertexSubset:
     """Vertices with at least k out-neighbors in A and k in-neighbors in B."""
     _check_connector_params(k)
-    n = T.n
-    if len(P.A) == 0 or len(P.B) == 0:
-        return VertexSubset(n, [])
     ia = np.fromiter(P.A.members, dtype=np.intp, count=len(P.A))
     out_to_a = T.adj[:, ia].sum(axis=1, dtype=np.int64)
     _, in_from_b = _in_from(T, P.B.members)
-    return VertexSubset(n, np.flatnonzero((out_to_a >= k) & (in_from_b >= k)).tolist())
+    return VertexSubset(T.n, np.flatnonzero((out_to_a >= k) & (in_from_b >= k)).tolist())
 
 
 def max_BA_matching(T: Tournament, P: Partition) -> MatchingCover:

@@ -6,12 +6,13 @@ import tracemalloc
 
 import pytest
 
-from tourneylab import (hamilton_cycle, is_hamiltonian, read_trn1,
+from tourneylab import (cli, hamilton_cycle, is_hamiltonian, read_trn1,
                         semidegrees, validate)
 from tourneylab.cli import (EXIT_BAD_PARAMS, EXIT_CERTIFICATE, EXIT_IO,
                             EXIT_OK, EXIT_PARSE, ExperimentConfig,
                             build_parser, main)
-from tourneylab.errors import BadConfig
+from tourneylab.errors import BadConfig, BadParams
+from tourneylab.sampling import thread_cap
 
 TRIANGLE_TRN1 = "TRN1 3\n010\n001\n100\n"
 
@@ -73,6 +74,19 @@ class TestGen:
         assert code == EXIT_BAD_PARAMS
         assert "size cap 65536" in capsys.readouterr().err
         assert peak < 1 << 20
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, flags", [
+        ("transitive", ["--n", "0"]),
+        ("random", ["--n", "0", "--seed", "1"]),
+        ("near-regular", ["--m", "0"]),
+        ("theorem1-even", ["--k", "0"]),
+        ("theorem1-odd", ["--k", "0"]),
+    ])
+    def test_order_below_one_exits_2(self, tmp_path, capsys, family, flags):
+        out = tmp_path / "x.trn"
+        assert main(["gen", family, *flags, "--out", str(out)]) == EXIT_BAD_PARAMS
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
 
@@ -189,6 +203,48 @@ class TestEstimate:
         assert report["n"] == 11
         assert report["config"]["tournament_path"] == str(trn)
 
+    def test_t_flag_reaches_config_and_bound(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, p_values=[0.5])
+        assert main(["estimate", "--config", cfg, "--t", "3"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["t"] == 3
+        # n - t = 28 is not 1 mod 4, so the exponent is t itself
+        assert report["rows"][0]["bound"] == 1.0 - 0.5 ** 3
+
+    def test_invalid_json_config(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", '{"p_values": [0.5],')
+        assert main(["estimate", "--config", cfg]) == EXIT_BAD_PARAMS
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON")
+
+    def test_no_p_values_anywhere(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", json.dumps({"family": "main",
+                                                      "params": {"n": 31, "t": 1}}))
+        assert main(["estimate", "--config", cfg]) == EXIT_BAD_PARAMS
+        assert "p_values" in capsys.readouterr().err
+
+    def test_thread_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOURNEYLAB_THREADS", "abc")
+        with pytest.raises(BadParams):
+            thread_cap()
+        assert main(["estimate", "--config", self.config(tmp_path)]) == EXIT_BAD_PARAMS
+        assert "TOURNEYLAB_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_huge_t_bound(self, tmp_path, capsys, monkeypatch, source):
+        # 1 - (1 - p)^t needs t as a float: one error line before any sampling
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the bound was checked")
+        monkeypatch.setattr(cli, "estimate_sweep", no_sampling)
+        huge = 10 ** 400
+        if source == "config":
+            argv = ["estimate", "--config", self.config(tmp_path, t=huge)]
+        else:
+            argv = ["estimate", "--config", self.config(tmp_path), "--t", str(huge)]
+        assert main(argv) == EXIT_BAD_PARAMS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
 
 class TestExact:
     def test_triangle(self, tmp_path, capsys):
@@ -284,6 +340,13 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
+    def test_out_prints_written_path(self, tmp_path, capsys):
+        trn = write(tmp_path / "tri.trn", TRIANGLE_TRN1)
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", "--file", trn, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert json.loads(out.read_text())["n"] == 3
+
     def test_malformed_file_names_line(self, tmp_path, capsys):
         trn = write(tmp_path / "bad.trn", "TRN1 3\n010\n0x1\n100\n")
         assert main(["analyze", "--file", trn]) == EXIT_PARSE
@@ -362,6 +425,11 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", "--file", str(tmp_path / "nope.trn")]) == EXIT_IO
+
+    def test_empty_file(self, tmp_path, capsys):
+        trn = write(tmp_path / "empty.trn", "")
+        assert main(["check", "--file", trn]) == EXIT_PARSE
+        assert "line 1: empty file" in capsys.readouterr().err
 
 
 class TestSharedParser:

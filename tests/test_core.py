@@ -60,6 +60,10 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate([[0, 1], [0, 0], [1, 1]])
 
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError):
+            Tournament(np.zeros((0, 0)))
+
     def test_non_binary_entries_rejected(self):
         with pytest.raises(ValueError):
             validate([[0, 2], [0, 0]])
@@ -163,6 +167,11 @@ class TestVertexSubset:
         assert VertexSubset.from_mask(8, s.mask) == s
         assert 3 in s and 4 not in s
 
+    @pytest.mark.parametrize("mask", [1 << 8, -1])
+    def test_from_mask_outside_universe(self, mask):
+        with pytest.raises(SubsetOutOfRange):
+            VertexSubset.from_mask(8, mask)
+
     def test_contains_takes_any_integer(self):
         s = VertexSubset(100, [3, 90])
         assert 3 in s and np.int64(3) in s and np.uint8(90) in s
@@ -177,6 +186,9 @@ class TestEdgeCount:
         assert edge_count(T, [0], [1, 2]) == 1
         assert edge_count(T, [1, 2], [0]) == 1
         assert edge_count(T, [], [0]) == 0
+
+    def test_empty_target(self):
+        assert edge_count(validate(TRIANGLE), [0, 1], []) == 0
 
 
 class TestSizeCap:

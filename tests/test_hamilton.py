@@ -18,7 +18,8 @@ from tourneylab import (HamiltonCertificate, Tournament, VertexSubset,
                         strongly_connected, transitive_tournament)
 from tourneylab.core import MAX_VERTICES
 from tourneylab.errors import InvalidCertificate, TooLarge
-from tourneylab.hamilton import _HK_CHUNK, _odd_mask_layers, _prefix_dtype
+from tourneylab.hamilton import (_HK_CHUNK, _odd_mask_layers, _prefix_dtype,
+                                 strong_on_mask)
 
 
 def strong_tournaments(max_n=11):
@@ -89,6 +90,9 @@ class TestScc:
 class TestIsHamiltonian:
     def test_triangle(self, triangle):
         assert is_hamiltonian(triangle)
+
+    def test_empty_mask_is_strong(self, triangle):
+        assert strong_on_mask(triangle.out_masks, triangle.in_masks, 0)
 
     def test_tiny_never_hamiltonian(self):
         assert not is_hamiltonian(transitive_tournament(1))
@@ -230,6 +234,12 @@ class TestHamiltonCycle:
 
     def test_transitive_none(self):
         assert hamilton_cycle(transitive_tournament(6)) is None
+
+    @pytest.mark.parametrize("adj", [[[0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    def test_below_three_vertices_none(self, adj):
+        T = Tournament(adj)
+        assert hamilton_cycle(T) is None
+        assert not brute_force_hamiltonian(T)
 
     def test_rotational_9(self):
         T = rotational_tournament(4)

@@ -249,6 +249,15 @@ class TestKConnectors:
                     naive.append(v)
             assert list(k_connectors(T, P, k).members) == naive
 
+    @pytest.mark.parametrize("a, b", [([], range(12)), (range(12), [])])
+    def test_empty_part_moves_and_connects_nothing(self, a, b):
+        T = random_tournament(16, 3)
+        P = Partition.from_members(16, a, b, range(12, 16))
+        assert k_connectors(T, P, 1).members == ()
+        result = refine_partition(T, P, 1, 1)
+        assert result.partition is P
+        assert result.moved == () and not result.short_circuit
+
     def test_antitone_in_k(self):
         T = random_tournament(30, seed=4)
         P = Partition.from_members(30, range(13), range(13, 26), range(26, 30))

@@ -1,6 +1,8 @@
 """One Philox draw per block for a whole p sweep, and the batch kernel's
 edge batches: the sweep's counts equal a per-p draw's, bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ class TestSweep:
         monkeypatch.setattr(sampling, "_block_uniforms", counting)
         estimate_sweep(random_tournament(40, 3), [0.3, 0.5, 0.7], TRIALS, 5, threads=1)
         assert sorted(args[1] for args in draws) == [0, 1, 2]
+
+    def test_pending_blocks_do_not_grow_with_trials(self):
+        # each block handed to the pool at once holds about 1.9 KB until it
+        # runs: 1000 blocks handed over together peak near 2.5 MB
+        T = transitive_tournament(3)
+        estimate_sweep(T, [0.5], 1, 1, threads=2)  # the first call's one-off allocations
+        tracemalloc.start()
+        try:
+            estimate_sweep(T, [0.5], 1000 * BLOCK_TRIALS, 1, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_reports_share_the_sweep_wall_time(self):
         reports = estimate_sweep(random_tournament(12, 1), [0.2, 0.8], 100, 1)
