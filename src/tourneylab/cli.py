@@ -5,8 +5,9 @@ Sweeps are configured by a single JSON document so they can be archived
 and replayed; command-line flags override individual fields. Reports
 embed the master seed and artifact version, and everything runs offline.
 
-Exit codes: 0 success; 2 bad parameters or configuration; 3 I/O failure;
-4 malformed tournament input; 5 certificate failure.
+Exit codes, mapped from error types by _EXIT_CODES: 0 success; 2 bad
+parameters or configuration; 3 I/O failure; 4 malformed tournament input;
+5 certificate failure.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field, fields
 
 from . import __version__, sampling
 from .core import Tournament, read_trn1, semidegrees, write_trn1
-from .errors import (BadConfig, BadParams, DiagonalNonzero, EmptyPart,
-                     InvalidCertificate, PairViolation, SubsetOutOfRange,
-                     TooLarge, Trn1ParseError, check_integer, check_probability)
+from .errors import (BadConfig, BadParams, DiagonalNonzero, InvalidCertificate,
+                     PairViolation, SubsetOutOfRange, TourneyLabError,
+                     Trn1ParseError, check_integer, check_probability)
 from .generators import _BUILDERS, FAMILIES, ExtremalSpec
 from .hamilton import HamiltonCertificate, check_certificate, is_hamiltonian
 from .sampling import estimate_sweep, theoretical_bound
@@ -36,6 +37,16 @@ EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_CERTIFICATE = 5
+
+# error type -> exit code, looked up along the error's MRO: other package errors exit 2
+_EXIT_CODES = {Trn1ParseError: EXIT_PARSE, DiagonalNonzero: EXIT_PARSE,
+               PairViolation: EXIT_PARSE, SubsetOutOfRange: EXIT_PARSE,
+               InvalidCertificate: EXIT_CERTIFICATE, TourneyLabError: EXIT_BAD_PARAMS,
+               OSError: EXIT_IO}
+
+# estimate flag -> the config field it overrides
+_ESTIMATE_FLAGS = {"p": "p_values", "trials": "trials", "seed": "master_seed",
+                   "t": "t", "file": "tournament_path", "out": "output_path"}
 
 # every generator family's parameter names, each one a `gen` flag: k, m, n, t
 _GEN_PARAMS = sorted({name for _, names in _BUILDERS.values() for name in names})
@@ -58,8 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         # JSON can put any type in any field: a float seed would reach the
         # Philox key truncated, an int path would open() a file descriptor.
-        # The numbers go through the package's shared checks; the family's
-        # params are checked when the spec builds.
+        # p, trials and master_seed go through SamplePlan, the estimator's own
+        # rule, before any file is read; the family's params when the spec builds.
         if not isinstance(self.p_values, list) or not self.p_values:
             raise BadConfig(f"p_values must be a non-empty list, got {self.p_values!r}")
         for name in ("family", "tournament_path", "output_path"):
@@ -72,10 +83,8 @@ class ExperimentConfig:
             raise BadConfig("config needs exactly one of 'family' or 'tournament_path'")
         try:
             for p in self.p_values:
-                check_probability(p, "p values")
+                sampling.SamplePlan(p, self.trials, self.master_seed)
             check_integer("t", self.t, 1)
-            check_integer("trials", self.trials, 1)
-            check_integer("master_seed", self.master_seed)
             if self.seed is not None:
                 check_integer("seed", self.seed)
         except BadParams as exc:
@@ -168,24 +177,18 @@ def _cmd_estimate(args) -> int:
                 data = json.load(fh)
             except UnicodeDecodeError as exc:
                 raise BadConfig(f"config is not ASCII: {exc}") from None
+            except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+                raise BadConfig(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise BadConfig("config must be a JSON object")
     else:
         data = {"p_values": []}
-    if args.p:
-        data["p_values"] = args.p
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.t is not None:
-        data["t"] = args.t
+    for flag, name in _ESTIMATE_FLAGS.items():
+        if (value := getattr(args, flag)) is not None:
+            data[name] = value
     if args.file is not None:
-        data["tournament_path"] = args.file
         data.pop("family", None)
         data.pop("params", None)
-    if args.out is not None:
-        data["output_path"] = args.out
     config = ExperimentConfig.from_json_dict(data)
     report = run_sweep(config)
     if config.output_path:
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="Monte Carlo sweep over p values")
     p_est.add_argument("--config", help="JSON config; flags override its fields")
     p_est.add_argument("--file", help="TRN1 tournament (overrides config family)")
-    p_est.add_argument("--p", type=float, action="append", default=[])
+    p_est.add_argument("--p", type=float, action="append")
     p_est.add_argument("--trials", type=int)
     p_est.add_argument("--seed", type=int)
     p_est.add_argument("--t", type=int)
@@ -323,25 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BadParams, BadConfig, TooLarge, EmptyPart) as exc:
+    except (TourneyLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    except (Trn1ParseError, DiagonalNonzero, PairViolation, SubsetOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidCertificate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

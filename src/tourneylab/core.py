@@ -146,7 +146,7 @@ class VertexSubset:
     __slots__ = ("universe_n", "members", "_mask")
 
     def __init__(self, universe_n: int, members: Iterable[int]):
-        mem = tuple(int(v) for v in members)
+        mem = tuple(map(operator.index, members))
         for v in mem:
             if not 0 <= v < universe_n:
                 raise SubsetOutOfRange(
@@ -277,7 +277,12 @@ def parse_trn1(text: str | bytes | bytearray) -> Tournament:
     try:
         n = int(header[1])
     except ValueError:
-        raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer") from None
+        if not (header[1].isascii() and header[1].isdigit()):
+            raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer") from None
+        digits = header[1].lstrip("0")  # int()'s digit limit counts leading zeros
+        if len(digits) > len(str(MAX_VERTICES)):
+            raise TooLarge(f"a {len(digits)}-digit number", MAX_VERTICES) from None
+        n = int(digits or "0")
     if n < 1:
         raise Trn1ParseError(1, f"vertex count must be >= 1, got {n}")
     if n > MAX_VERTICES:  # before any row work: the rows alone would be n^2 bytes

@@ -34,7 +34,7 @@ class SubsetOutOfRange(TourneyLabError):
 class TooLarge(TourneyLabError):
     """Input exceeds a size cap: MAX_VERTICES, or an exhaustive operation's."""
 
-    def __init__(self, n: int, limit: int):
+    def __init__(self, n: int | str, limit: int):
         self.n = n
         self.limit = limit
         super().__init__(f"n = {n} exceeds the size cap {limit}")

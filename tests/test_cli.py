@@ -11,7 +11,10 @@ from tourneylab import (cli, hamilton_cycle, is_hamiltonian, read_trn1,
 from tourneylab.cli import (EXIT_BAD_PARAMS, EXIT_CERTIFICATE, EXIT_IO,
                             EXIT_OK, EXIT_PARSE, ExperimentConfig,
                             build_parser, main)
-from tourneylab.errors import BadConfig, BadParams
+from tourneylab.errors import (BadConfig, BadParams, DiagonalNonzero,
+                               InvalidCertificate, PairViolation,
+                               SubsetOutOfRange, TourneyLabError,
+                               Trn1ParseError)
 from tourneylab.sampling import thread_cap
 
 TRIANGLE_TRN1 = "TRN1 3\n010\n001\n100\n"
@@ -215,6 +218,29 @@ class TestEstimate:
         cfg = write(tmp_path / "cfg.json", '{"p_values": [0.5],')
         assert main(["estimate", "--config", cfg]) == EXIT_BAD_PARAMS
         assert capsys.readouterr().err.startswith("error: config is not valid JSON")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,           # RecursionError in the decoder
+        '{"p_values": [0.5], "trials": ' + "1" * 5000 + "}",  # past int()'s digit limit
+    ], ids=["deep", "long-int"])
+    def test_config_that_does_not_decode(self, tmp_path, capsys, text):
+        cfg = write(tmp_path / "cfg.json", text)
+        assert main(["estimate", "--config", cfg]) == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_master_seed_range_checked_before_any_read(self, tmp_path, capsys, seed):
+        missing = str(tmp_path / "missing.trn")
+        assert main(["estimate", "--p", "0.5", "--seed", seed,
+                     "--file", missing]) == EXIT_BAD_PARAMS
+        assert "master_seed" in capsys.readouterr().err
+
+    def test_largest_master_seed_runs(self, tmp_path, capsys):
+        trn = write(tmp_path / "tri.trn", TRIANGLE_TRN1)
+        assert main(["estimate", "--p", "0.5", "--trials", "100",
+                     "--seed", str(2 ** 64 - 1), "--file", trn]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rows"][0]["seed"] == 2 ** 64 - 1
 
     def test_no_p_values_anywhere(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json", json.dumps({"family": "main",
@@ -430,6 +456,58 @@ class TestCheck:
         trn = write(tmp_path / "empty.trn", "")
         assert main(["check", "--file", trn]) == EXIT_PARSE
         assert "line 1: empty file" in capsys.readouterr().err
+
+    def test_header_past_int_digit_limit(self, tmp_path, capsys):
+        # exited 4 and echoed all 5000 digits
+        trn = write(tmp_path / "big.trn", "TRN1 " + "9" * 5000 + "\n010\n001\n100\n")
+        assert main(["check", "--file", trn]) == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err
+        assert err == "error: n = a 5000-digit number exceeds the size cap 65536\n"
+
+    @pytest.mark.parametrize("count", ["12a", "9" * 5000 + "x", "-"], ids=["12a", "long", "-"])
+    def test_header_count_not_digits(self, tmp_path, capsys, count):
+        trn = write(tmp_path / "bad.trn", f"TRN1 {count}\n010\n001\n100\n")
+        assert main(["check", "--file", trn]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"error: line 1: vertex count {count!r} is not an integer\n"
+
+
+def _error_classes(cls=TourneyLabError):
+    """``cls`` and every subclass of it, however deep."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+class TestExitTable:
+    """Every package error maps to the README's exit code with one error line,
+    so an error class added later cannot leave main as a traceback (exit 1)."""
+
+    PARSE = (Trn1ParseError, DiagonalNonzero, PairViolation, SubsetOutOfRange)
+
+    def expected(self, cls):
+        if issubclass(cls, self.PARSE):
+            return EXIT_PARSE
+        if issubclass(cls, InvalidCertificate):
+            return EXIT_CERTIFICATE
+        return EXIT_BAD_PARAMS
+
+    def test_every_error_class(self, tmp_path, capsys, monkeypatch):
+        classes = list(_error_classes())
+        assert len(classes) >= 10
+        cases = [(cls, self.expected(cls)) for cls in classes]
+        cases += [(OSError, EXIT_IO), (FileNotFoundError, EXIT_IO)]
+        trn = write(tmp_path / "tri.trn", TRIANGLE_TRN1)
+        for cls, code in cases:
+            exc = cls.__new__(cls)
+            Exception.__init__(exc, f"boom {cls.__name__}")
+
+            def fail(path, exc=exc):
+                raise exc
+            monkeypatch.setattr(cli, "read_trn1", fail)
+            assert main(["check", "--file", trn]) == code, cls
+            assert capsys.readouterr().err == f"error: boom {cls.__name__}\n"
+
 
 
 class TestSharedParser:

@@ -14,7 +14,7 @@ from tourneylab import (Tournament, VertexSubset, edge_count, format_trn1,
 from tourneylab._bits import rows_to_masks
 from tourneylab.core import _check_invariants
 from tourneylab.errors import (DiagonalNonzero, PairViolation,
-                               SubsetOutOfRange, TourneyLabError,
+                               SubsetOutOfRange, TooLarge, TourneyLabError,
                                Trn1ParseError)
 
 TRIANGLE = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
@@ -179,6 +179,16 @@ class TestVertexSubset:
         assert -1 not in s and 100 not in s and np.int64(-1) not in s
         assert 1 << 70 not in s
 
+    @pytest.mark.parametrize("member", [1.7, 1.0, np.float64(1), "1"])
+    def test_members_must_be_integers(self, member):
+        with pytest.raises(TypeError):  # 1.7 became vertex 1
+            VertexSubset(5, [member])
+
+    def test_members_take_numpy_integers(self):
+        s = VertexSubset(5, np.array([4, 1]))
+        assert s.members == (4, 1) and all(type(v) is int for v in s.members)
+        assert VertexSubset(5, [np.uint8(3)]).members == (3,)
+
 
 class TestEdgeCount:
     def test_blocks(self):
@@ -226,6 +236,15 @@ class TestTrn1:
         with pytest.raises(Trn1ParseError) as exc:
             parse_trn1("TRNX 3\n010\n001\n100\n")
         assert exc.value.line == 1
+
+    def test_header_past_int_digit_limit(self):
+        # int() refuses more than 4300 digits: too large, not malformed
+        with pytest.raises(TooLarge, match="a 5000-digit number"):
+            parse_trn1("TRN1 " + "9" * 5000 + "\n")
+        # leading zeros count toward that limit, but not toward n
+        assert parse_trn1("TRN1 " + "0" * 5000 + "3\n010\n001\n100\n") == validate(TRIANGLE)
+        with pytest.raises(Trn1ParseError, match="is not an integer"):
+            parse_trn1("TRN1 " + "9" * 5000 + "x\n")
 
     def test_bad_character_names_line(self):
         with pytest.raises(Trn1ParseError) as exc:

@@ -157,6 +157,42 @@ class TestExtremalMain:
             extremal_main(7, 2)  # n - t = 5 < 6
 
 
+# each builder with valid arguments
+BUILDER_ARGS = [
+    (rotational_tournament, (3,)),
+    (near_regular_tournament, (6,)),
+    (transitive_tournament, (4,)),
+    (random_tournament, (5, 1)),
+    (extremal_theorem1_even, (1,)),
+    (extremal_theorem1_odd, (1,)),
+    (extremal_main, (15, 1)),
+]
+
+
+class TestIntegerParams:
+    @pytest.mark.parametrize("builder, args", BUILDER_ARGS)
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(3), True, "3"])
+    def test_each_argument_must_be_an_integer(self, builder, args, bad):
+        # a float was truncated or failed inside numpy, True ran as 1
+        for i in range(len(args)):
+            with pytest.raises(BadParams, match="must be an integer"):
+                builder(*args[:i], bad, *args[i + 1:])
+
+    @pytest.mark.parametrize("builder, args", BUILDER_ARGS)
+    def test_numpy_integers_build_the_same_matrix(self, builder, args):
+        assert builder(*map(np.int64, args)) == builder(*args)
+
+    @pytest.mark.parametrize("seed", [-1, None])
+    def test_random_seed_checked(self, seed):
+        # None drew an unseeded matrix, -1 failed inside numpy
+        with pytest.raises(BadParams, match="seed"):
+            random_tournament(5, seed)
+
+    def test_even_construction_rejects_true(self):
+        with pytest.raises(BadParams):  # built the k = 1 tournament on 6 vertices
+            extremal_theorem1_even(True)
+
+
 class TestEverythingValidates:
     @pytest.mark.parametrize("build", [
         lambda: rotational_tournament(6),

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import types
 
 import tourneylab
@@ -11,3 +13,12 @@ def test_all_lists_each_public_name_once():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) - {"__version__"} == public
     assert "__version__" in names
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10: no module may use
+    # syntax a 3.10 parser rejects
+    sources = sorted(pathlib.Path(tourneylab.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
