@@ -2,21 +2,24 @@
 
 A tournament on n vertices is stored as a dense n x n uint8 orientation
 matrix with adj[i][j] = 1 iff the edge between i and j points i -> j.
-Rows are additionally available as Python-int bitsets (one n-bit integer
-per vertex), on which the single-subset reachability searches run: an OR
-of neighborhood bitsets touches n/64 machine words. The exact counts
-sweep int32 numpy masks instead, and the estimator reads scores.
+Rows are also available as Python-int bitsets (one n-bit integer per
+vertex), on which the single-subset reachability searches run: an OR of
+neighborhood bitsets touches n/64 machine words. The bitsets are built
+from the matrix on each access, nothing is cached, and the in-bitsets come
+from the out-bitsets by complement: N-(v) = V - N+(v) - {v}. The exact
+counts sweep int32 numpy masks instead, and the estimator reads scores.
 
-Vertices are dense integers 0..n-1. Instances are immutable after
-construction and safe to share across threads.
+Vertices are dense integers 0..n-1. A Tournament holds only its matrix,
+its order and its parent labels; VertexSubset is a frozen dataclass. Both
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,8 +28,7 @@ from .errors import DiagonalNonzero, PairViolation, SubsetOutOfRange, TooLarge, 
 
 MAX_VERTICES = 1 << 16
 # Rows (or columns) per block of the passes that would otherwise hold an
-# n x n temporary: the invariant check, the in-neighbour bitsets and TRN1's
-# row compaction.
+# n x n temporary: the invariant check and TRN1's row compaction.
 _BLOCK = 64
 
 
@@ -40,7 +42,7 @@ class Tournament:
     sets ``_trusted`` and hands the matrix over without a copy.
     """
 
-    __slots__ = ("n", "adj", "parent_labels", "_out_masks", "_in_masks")
+    __slots__ = ("n", "adj", "parent_labels")
 
     def __init__(self, adj, *, parent_labels: tuple[int, ...] | None = None,
                  _trusted: bool = False):
@@ -62,24 +64,17 @@ class Tournament:
         self.n = n
         self.adj = a
         self.parent_labels = parent_labels
-        self._out_masks: list[int] | None = None
-        self._in_masks: list[int] | None = None
 
     @property
     def out_masks(self) -> list[int]:
-        """Per-vertex bitset of out-neighbors N+(v)."""
-        if self._out_masks is None:
-            self._out_masks = rows_to_masks(self.adj)
-        return self._out_masks
+        """Per-vertex bitset of out-neighbors N+(v), built on each access."""
+        return rows_to_masks(self.adj)
 
     @property
     def in_masks(self) -> list[int]:
-        """Per-vertex bitset of in-neighbors N-(v)."""
-        if self._in_masks is None:
-            # column blocks: the whole transpose would be an n x n copy
-            self._in_masks = [m for i in range(0, self.n, _BLOCK) for m in rows_to_masks(
-                np.ascontiguousarray(self.adj[:, i:i + _BLOCK].T))]
-        return self._in_masks
+        """Per-vertex bitset of in-neighbors N-(v) = V - N+(v) - {v}."""
+        full = (1 << self.n) - 1
+        return [full ^ 1 << v ^ m for v, m in enumerate(self.out_masks)]
 
     def edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
@@ -140,22 +135,27 @@ def validate(raw_matrix) -> Tournament:
     return Tournament(raw_matrix)
 
 
+@dataclass(frozen=True, slots=True)
 class VertexSubset:
-    """Ordered, duplicate-free set of vertex labels inside a fixed universe."""
+    """Ordered, duplicate-free set of vertex labels inside a fixed universe.
 
-    __slots__ = ("universe_n", "members", "_mask")
+    ``mask`` is the members' bitset, derived once at construction; it
+    takes no part in the repr, equality or hash."""
 
-    def __init__(self, universe_n: int, members: Iterable[int]):
-        mem = tuple(map(operator.index, members))
+    universe_n: int
+    members: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mem = tuple(map(operator.index, self.members))
         for v in mem:
-            if not 0 <= v < universe_n:
+            if not 0 <= v < self.universe_n:
                 raise SubsetOutOfRange(
-                    f"vertex {v} outside universe of size {universe_n}")
+                    f"vertex {v} outside universe of size {self.universe_n}")
         if len(set(mem)) != len(mem):
             raise ValueError("duplicate members in vertex subset")
-        self.universe_n = universe_n
-        self.members = mem
-        self._mask: int | None = None
+        object.__setattr__(self, "members", mem)
+        object.__setattr__(self, "mask", mask_of(mem))
 
     @classmethod
     def full(cls, n: int) -> "VertexSubset":
@@ -167,12 +167,6 @@ class VertexSubset:
             raise SubsetOutOfRange(f"mask has bits outside universe {universe_n}")
         return cls(universe_n, iter_bits(mask))
 
-    @property
-    def mask(self) -> int:
-        if self._mask is None:
-            self._mask = mask_of(self.members)
-        return self._mask
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -183,17 +177,6 @@ class VertexSubset:
 
     def __iter__(self):
         return iter(self.members)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VertexSubset):
-            return NotImplemented
-        return (self.universe_n, self.members) == (other.universe_n, other.members)
-
-    def __hash__(self):
-        return hash((self.universe_n, self.members))
-
-    def __repr__(self) -> str:
-        return f"VertexSubset(universe_n={self.universe_n}, members={self.members})"
 
 
 @dataclass(frozen=True)
@@ -274,15 +257,14 @@ def parse_trn1(text: str | bytes | bytearray) -> Tournament:
     header = decode(slice(0, stop)).split()
     if len(header) != 2 or header[0] != "TRN1":
         raise Trn1ParseError(1, "expected header 'TRN1 <n>'")
-    try:
-        n = int(header[1])
-    except ValueError:
-        if not (header[1].isascii() and header[1].isdigit()):
-            raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer") from None
-        digits = header[1].lstrip("0")  # int()'s digit limit counts leading zeros
-        if len(digits) > len(str(MAX_VERTICES)):
-            raise TooLarge(f"a {len(digits)}-digit number", MAX_VERTICES) from None
-        n = int(digits or "0")
+    # The count is ASCII digits: int() would also take a sign, underscores
+    # and other scripts' digits. Past the cap's width only the width is named.
+    if not (header[1].isascii() and header[1].isdigit()):
+        raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer")
+    digits = header[1].lstrip("0")
+    if len(digits) > len(str(MAX_VERTICES)):
+        raise TooLarge(f"a {len(digits)}-digit number", MAX_VERTICES)
+    n = int(digits or "0")
     if n < 1:
         raise Trn1ParseError(1, f"vertex count must be >= 1, got {n}")
     if n > MAX_VERTICES:  # before any row work: the rows alone would be n^2 bytes

@@ -4,6 +4,7 @@ input rules every module shares: check_integer and check_probability."""
 from __future__ import annotations
 
 import numbers
+import operator
 
 
 class TourneyLabError(Exception):
@@ -69,17 +70,22 @@ class Trn1ParseError(TourneyLabError):
 
 
 def check_integer(name: str, value, minimum: int | None = None,
-                  maximum: int | None = None) -> None:
-    """Raise BadParams unless ``value`` is an integer in [minimum, maximum].
+                  maximum: int | None = None) -> int:
+    """``value`` as a Python int; BadParams unless it is an integer in
+    [minimum, maximum].
 
     Python and numpy integers pass. A bool, a float or a string does not:
-    it would reach its use truncated or parsed (seed 1.5 would run as 1)."""
+    it would reach its use truncated or parsed (seed 1.5 would run as 1).
+    Callers compute with the returned int, so a numpy argument cannot
+    overflow its dtype (2 * np.uint8(200) wraps)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadParams(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
     if minimum is not None and value < minimum:
         raise BadParams(f"{name} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise BadParams(f"{name} must be <= {maximum}, got {value}")
+    return value
 
 
 def check_probability(p, name: str = "inclusion probability") -> None:

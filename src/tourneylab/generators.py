@@ -28,7 +28,7 @@ def _check_order(n: int) -> None:
 
 def rotational_tournament(k: int) -> Tournament:
     """Circulant tournament on n = 2k+1 vertices: i -> j iff (j-i) mod n in 1..k."""
-    check_integer("k", k, 1)
+    k = check_integer("k", k, 1)
     n = 2 * k + 1
     _check_order(n)
     # vertex 0's row twice over: row i of the matrix is row[n - i:2n - i]
@@ -40,7 +40,7 @@ def rotational_tournament(k: int) -> Tournament:
 
 def transitive_tournament(n: int) -> Tournament:
     """i -> j iff i < j; the unique acyclic tournament up to isomorphism."""
-    check_integer("n", n, 1)
+    n = check_integer("n", n, 1)
     _check_order(n)
     # n zeros then n - 1 ones: row i of the matrix is step[n - 1 - i:2n - 1 - i]
     step = np.zeros(2 * n - 1, dtype=np.uint8)
@@ -51,8 +51,8 @@ def transitive_tournament(n: int) -> Tournament:
 
 def random_tournament(n: int, seed: int) -> Tournament:
     """Each pair oriented by an independent fair coin; same seed, same matrix."""
-    check_integer("n", n, 1)
-    check_integer("seed", seed, 0)
+    n = check_integer("n", n, 1)
+    seed = check_integer("seed", seed, 0)
     _check_order(n)
     rng = np.random.default_rng(seed)
     # one draw for all pairs, in row-major order over i < j: splitting it
@@ -75,7 +75,7 @@ def near_regular_tournament(m: int) -> Tournament:
     with out-edges to the first ceil((m-1)/2) of them and in-edges from
     the rest.
     """
-    check_integer("m", m, 1)
+    m = check_integer("m", m, 1)
     _check_order(m)
     if m == 1:
         return Tournament(np.zeros((1, 1), dtype=np.uint8), _trusted=True)
@@ -111,7 +111,7 @@ def extremal_theorem1_even(k: int) -> Tournament:
     Every vertex has min semidegree exactly k, and e(B, A) = 0, so an
     induced subtournament meeting both halves is never strongly connected.
     """
-    check_integer("k", k, 1)
+    k = check_integer("k", k, 1)
     _check_order(4 * k + 2)
     half = rotational_tournament(k)
     return _blocks([half, half], [(0, 1)])
@@ -124,7 +124,7 @@ def extremal_theorem1_odd(k: int) -> Tournament:
     subset meeting both halves induces a Hamiltonian tournament iff it
     contains v.
     """
-    check_integer("k", k, 1)
+    k = check_integer("k", k, 1)
     _check_order(4 * k + 3)
     half = rotational_tournament(k)
     T = _blocks([half, half, transitive_tournament(1)], [(0, 1), (1, 2), (2, 0)])
@@ -134,8 +134,8 @@ def extremal_theorem1_odd(k: int) -> Tournament:
 
 def extremal_main_blocks(n: int, t: int) -> tuple[range, range, range]:
     """Vertex ranges (A, B, X) of extremal_main's layout."""
-    check_integer("t", t, 1)
-    check_integer("n", n, t + 6)
+    t = check_integer("t", t, 1)
+    n = check_integer("n", n, t + 6)
     a = (n - t) // 2
     b = (n - t) - a
     return range(0, a), range(a, a + b), range(a + b, n)

@@ -257,10 +257,10 @@ def brute_force_hamiltonian(T: Tournament) -> bool:
     n = T.n
     if n > BRUTE_FORCE_MAX_N:
         raise TooLarge(n, BRUTE_FORCE_MAX_N)
-    into_0 = T.in_masks[0]
+    into_0, *into = T.in_masks
     if into_0 in (0, (1 << n) - 2):
         return False
-    into = np.array(T.in_masks[1:], dtype=np.int32)
+    into = np.array(into, dtype=np.int32)
     bits = np.left_shift(1, np.arange(1, n, dtype=np.int32))
     weights = bits.astype(np.float32)
     f = np.zeros(1 << n, dtype=np.int32)

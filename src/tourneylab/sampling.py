@@ -104,8 +104,8 @@ class BoundSpec:
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Score interval for a binomial proportion; well-behaved near 0 and 1."""
-    check_integer("trials", trials, 1)
-    check_integer("successes", successes, 0, trials)
+    trials = check_integer("trials", trials, 1)
+    successes = check_integer("successes", successes, 0, trials)
     ph = successes / trials
     denom = 1.0 + z * z / trials
     center = (ph + z * z / (2 * trials)) / denom
@@ -196,9 +196,8 @@ def estimate_sweep(
     plans = [SamplePlan(p=p, trials=trials, master_seed=master_seed) for p in p_values]
     if not plans:
         raise BadParams("an estimate sweep needs at least one p value")
-    if threads is not None:
-        check_integer("threads", threads, 1)
-    workers = thread_cap() if threads is None else threads
+    trials = check_integer("trials", trials, 1)
+    workers = thread_cap() if threads is None else check_integer("threads", threads, 1)
     n = T.n
     n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     start = time.perf_counter()
@@ -317,8 +316,11 @@ def _strong_masks(T: Tournament) -> Iterator[np.ndarray]:
     n = T.n
     if n > EXACT_MAX_N:
         raise TooLarge(n, EXACT_MAX_N)
-    out_table = _union_table([row | 1 << v for v, row in enumerate(T.out_masks)])
-    in_table = _union_table([row | 1 << v for v, row in enumerate(T.in_masks)])
+    # closed neighbourhoods from one read of the rows: N+[v] = N+(v) + {v},
+    # and N-[v] = V - N+(v)
+    out = T.out_masks
+    out_table = _union_table([row | 1 << v for v, row in enumerate(out)])
+    in_table = _union_table([(1 << n) - 1 ^ row for row in out])
     for start in range(0, 1 << n, CLOSURE_CHUNK):
         masks = np.arange(start, min(start + CLOSURE_CHUNK, 1 << n), dtype=np.int32)
         masks = masks[np.bitwise_count(masks) >= 3]
@@ -364,8 +366,8 @@ def uniform_subset_probability(T: Tournament) -> float:
 def theoretical_bound(n: int, t: int, p: float) -> BoundSpec:
     """The closed-form probability target for tournaments with the requisite
     minimum semidegree; exponent improves to t+1 when n - t = 1 mod 4."""
-    check_integer("n", n, 1)
-    check_integer("t", t, 1)
+    n = check_integer("n", n, 1)
+    t = check_integer("t", t, 1)
     check_probability(p)
     improved = (n - t) % 4 == 1
     expo = t + 1 if improved else t

@@ -27,22 +27,22 @@ from .errors import BadParams, EmptyPart, check_integer, check_probability
 from .hamilton import _top_scorers, hamiltonian_on_subset, reach_on_mask
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Partition:
     """Disjoint cover V(T) = A + B + X."""
 
-    __slots__ = ("A", "B", "X")
+    A: VertexSubset
+    B: VertexSubset
+    X: VertexSubset
 
-    def __init__(self, A: VertexSubset, B: VertexSubset, X: VertexSubset):
+    def __post_init__(self):
+        A, B, X = self.A, self.B, self.X
         if not (A.universe_n == B.universe_n == X.universe_n):
             raise BadParams("partition parts live in different universes")
-        n = A.universe_n
         if A.mask & B.mask or A.mask & X.mask or B.mask & X.mask:
             raise BadParams("partition parts are not disjoint")
-        if A.mask | B.mask | X.mask != (1 << n) - 1:
+        if A.mask | B.mask | X.mask != (1 << A.universe_n) - 1:
             raise BadParams("partition parts do not cover the vertex set")
-        self.A = A
-        self.B = B
-        self.X = X
 
     @classmethod
     def from_members(cls, n: int, a, b, x) -> "Partition":
@@ -213,11 +213,10 @@ def _check_cleaning_eps(eps: float) -> None:
         raise BadParams(f"cleaning tolerance must be in (0, 0.01], got {eps}")
 
 
-def _check_connector_params(k: int, t: int = 1) -> None:
-    """k < 1 makes every vertex a connector; t < 1 removes the room for
-    moved vertices that refinement assumes."""
-    check_integer("k", k, 1)
-    check_integer("t", t, 1)
+def _check_connector_params(k: int, t: int = 1) -> tuple[int, int]:
+    """(k, t) as Python ints. k < 1 makes every vertex a connector; t < 1
+    removes the room for moved vertices that refinement assumes."""
+    return check_integer("k", k, 1), check_integer("t", t, 1)
 
 
 def clean_to_good_partition(
@@ -256,7 +255,7 @@ def refine_partition(T: Tournament, P: Partition, k: int, t: int) -> RefineResul
     side the partition is returned unchanged with short_circuit set: that
     many connectors already settle the probability bound.
     """
-    _check_connector_params(k, t)
+    k, t = _check_connector_params(k, t)
     ia, in_a = _in_from(T, P.A.members)
     ib, in_b = _in_from(T, P.B.members)
     thresh = k + t
@@ -366,8 +365,9 @@ def bad_events(T: Tournament, P: Partition, S: VertexSubset) -> BadEventFlags:
           or 10 * _min_semidegree(*_in_from(T, sb)) < 3 * len(sb)
           or 5 * _min_semidegree(*_in_from(T, S.members)) < s_size)
 
-    b3 = reach_on_mask(T.out_masks, s_mask, sa_mask) & sb_mask == 0
-    b4 = reach_on_mask(T.out_masks, s_mask, sb_mask) & sa_mask == 0
+    out = T.out_masks
+    b3 = reach_on_mask(out, s_mask, sa_mask) & sb_mask == 0
+    b4 = reach_on_mask(out, s_mask, sb_mask) & sa_mask == 0
     return BadEventFlags(b1=b1, b2=b2, b3=b3, b4=b4)
 
 
@@ -393,7 +393,7 @@ def low_indegree_census(T: Tournament, beta: float) -> int:
 def default_connector_k(p: float, t: int, sigma: float = 0.01) -> int:
     """Default connector threshold: ceil(2 log((t+1)/sigma) base 1/(1-p^2))."""
     check_probability(p, "p")
-    check_integer("t", t, 1)
+    t = check_integer("t", t, 1)
     check_probability(sigma, "sigma")
     try:
         ratio = (t + 1) / sigma

@@ -9,6 +9,7 @@ referee the fast implementations.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import combinations
 
@@ -105,10 +106,12 @@ def reference_trn1(text: str) -> np.ndarray:
     header = text.split("\n", 1)[0].split()
     if len(header) != 2 or header[0] != "TRN1":
         raise Trn1ParseError(1, "expected header 'TRN1 <n>'")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer") from None
+    if not re.fullmatch("[0-9]+", header[1]):
+        raise Trn1ParseError(1, f"vertex count {header[1]!r} is not an integer")
+    digits = header[1].lstrip("0")
+    if len(digits) > 5:
+        raise TooLarge(f"a {len(digits)}-digit number", MAX_VERTICES)
+    n = int(digits or "0")
     if n < 1:
         raise Trn1ParseError(1, f"vertex count must be >= 1, got {n}")
     if n > MAX_VERTICES:

@@ -471,6 +471,21 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == f"error: line 1: vertex count {count!r} is not an integer\n"
 
+    @pytest.mark.parametrize("count", ["+3", "1_0", "-1"])
+    def test_header_count_int_would_take(self, tmp_path, capsys, count):
+        # int() read +3 and 1_0 as 3 and 10 (exit 0), and -1 as n = -1
+        trn = write(tmp_path / "bad.trn", f"TRN1 {count}\n010\n001\n100\n")
+        assert main(["check", "--file", trn]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"error: line 1: vertex count {count!r} is not an integer\n"
+
+    def test_header_count_past_five_digits(self, tmp_path, capsys):
+        # printed every digit of a count between the cap and int()'s digit limit
+        trn = write(tmp_path / "big.trn", "TRN1 " + "9" * 4000 + "\n010\n001\n100\n")
+        assert main(["check", "--file", trn]) == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err
+        assert err == "error: n = a 4000-digit number exceeds the size cap 65536\n"
+
 
 def _error_classes(cls=TourneyLabError):
     """``cls`` and every subclass of it, however deep."""

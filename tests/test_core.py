@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -189,6 +190,22 @@ class TestVertexSubset:
         assert s.members == (4, 1) and all(type(v) is int for v in s.members)
         assert VertexSubset(5, [np.uint8(3)]).members == (3,)
 
+    def test_repr_hash_and_equality(self):
+        s = VertexSubset(5, [1, 3])
+        assert repr(s) == "VertexSubset(universe_n=5, members=(1, 3))"
+        assert hash(s) == hash((5, (1, 3)))
+        assert s == VertexSubset(5, (1, 3)) and s != VertexSubset(5, (3, 1))
+        assert s != VertexSubset(6, (1, 3)) and s != (5, (1, 3))
+
+    @pytest.mark.parametrize("name, value", [("members", (0,)), ("mask", 1),
+                                             ("universe_n", 9)])
+    def test_fields_cannot_be_assigned(self, name, value):
+        # assigning members left the cached mask stale: 0 in s read False
+        s = VertexSubset(5, [1, 3])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, value)
+        assert s.members == (1, 3) and s.mask == 0b1010 and 0 not in s
+
 
 class TestEdgeCount:
     def test_blocks(self):
@@ -245,6 +262,26 @@ class TestTrn1:
         assert parse_trn1("TRN1 " + "0" * 5000 + "3\n010\n001\n100\n") == validate(TRIANGLE)
         with pytest.raises(Trn1ParseError, match="is not an integer"):
             parse_trn1("TRN1 " + "9" * 5000 + "x\n")
+
+    @pytest.mark.parametrize("count", ["+3", "1_0", "\uff13", "-1", "3\u0663"],
+                             ids=["plus", "underscore", "fullwidth", "minus", "arabic-indic"])
+    def test_header_count_is_ascii_digits(self, count):
+        # int() took a sign, underscores and other scripts' digits
+        with pytest.raises(Trn1ParseError, match="is not an integer") as exc:
+            parse_trn1(f"TRN1 {count}\n010\n001\n100\n")
+        assert str(exc.value) == f"line 1: vertex count {count!r} is not an integer"
+
+    def test_header_count_past_the_cap(self):
+        # a count past 5 digits is named by its width; 100000 was echoed whole
+        with pytest.raises(TooLarge) as exc:
+            parse_trn1("TRN1 100000\n")
+        assert str(exc.value) == "n = a 6-digit number exceeds the size cap 65536"
+        with pytest.raises(TooLarge) as exc:
+            parse_trn1("TRN1 70000\n")
+        assert str(exc.value) == "n = 70000 exceeds the size cap 65536"
+        with pytest.raises(TooLarge) as exc:
+            parse_trn1("TRN1 000070000\n")
+        assert str(exc.value) == "n = 70000 exceeds the size cap 65536"
 
     def test_bad_character_names_line(self):
         with pytest.raises(Trn1ParseError) as exc:
@@ -392,6 +429,13 @@ class TestTrn1Memory:
         with pytest.raises(PairViolation) as exc:
             Tournament(adj)
         assert (exc.value.i, exc.value.j) == first
+
+
+def test_tournament_holds_only_its_matrix():
+    # the bitsets were cached in two extra slots, filled on first access
+    assert Tournament.__slots__ == ("n", "adj", "parent_labels")
+    T = random_tournament(9, seed=1)
+    assert T.out_masks == T.out_masks and T.out_masks is not T.out_masks
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 65, 200])

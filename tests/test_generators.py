@@ -182,6 +182,16 @@ class TestIntegerParams:
     def test_numpy_integers_build_the_same_matrix(self, builder, args):
         assert builder(*map(np.int64, args)) == builder(*args)
 
+    @pytest.mark.parametrize("builder, args", [
+        (rotational_tournament, (200,)), (near_regular_tournament, (200,)),
+        (transitive_tournament, (200,)), (random_tournament, (200, 1)),
+        (extremal_theorem1_even, (200,)), (extremal_theorem1_odd, (200,)),
+        (extremal_main, (300, 250)), (extremal_main_blocks, (300, 250))])
+    def test_narrow_numpy_integers_do_not_overflow(self, builder, args):
+        # 2 * k + 1, 4 * k + 2 and t + 6 wrapped or warned in uint8
+        narrow = [np.uint8(a) if a < 256 else a for a in args]
+        assert builder(*narrow) == builder(*args)
+
     @pytest.mark.parametrize("seed", [-1, None])
     def test_random_seed_checked(self, seed):
         # None drew an unseeded matrix, -1 failed inside numpy

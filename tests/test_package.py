@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 import types
 
@@ -22,3 +23,17 @@ def test_sources_parse_at_the_declared_python_floor():
     assert len(sources) >= 9
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_value_types_are_frozen_dataclasses():
+    # a public class that accepts attribute assignment can go stale against
+    # what it was built from; Tournament guards its matrix by hand instead
+    classes = [value for name in tourneylab.__all__
+               if isinstance(value := getattr(tourneylab, name), type)
+               and not issubclass(value, Exception)]
+    assert len(classes) >= 15
+    for cls in classes:
+        if cls is tourneylab.Tournament:
+            continue
+        assert dataclasses.is_dataclass(cls), cls
+        assert cls.__dataclass_params__.frozen, cls

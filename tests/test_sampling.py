@@ -6,13 +6,14 @@ from numpy.random import Generator, Philox
 from conftest import brute_force_size_counts, planted_blocks
 
 from tourneylab import (SamplePlan, VertexSubset,
-                        estimate_hamiltonian_probability,
+                        estimate_hamiltonian_probability, estimate_sweep,
                         exact_hamiltonian_probability, extremal_main,
                         extremal_theorem1_even, extremal_theorem1_odd,
                         induced, is_hamiltonian, near_regular_tournament,
                         random_tournament, sample_subset, theoretical_bound,
                         transitive_tournament, trial_subset,
                         uniform_subset_probability, wilson_interval)
+from tourneylab import sampling
 from tourneylab.errors import BadParams, TooLarge
 from tourneylab.sampling import (BLOCK_TRIALS, Z95, Z997, _block_uniforms,
                                  _word_threshold, hamiltonian_subset_size_counts)
@@ -306,6 +307,39 @@ class TestCountArguments:
     def test_non_integer_or_out_of_range_rejected(self, call):
         with pytest.raises(BadParams):
             call()
+
+
+class _FirstBlock(Exception):
+    pass
+
+
+class TestNumpyCounts:
+    """A numpy integer computes as its Python int: arithmetic in its own
+    dtype overflowed, which the suite's warning filter turns into errors."""
+
+    def test_theoretical_bound(self):
+        # n - t and t + 1 overflowed uint8
+        assert theoretical_bound(300, np.uint8(255), 0.5) == theoretical_bound(300, 255, 0.5)
+
+    def test_wilson_interval(self):
+        # 4 * trials * trials overflowed int32
+        assert (wilson_interval(np.int32(40_000), np.int32(100_000))
+                == wilson_interval(40_000, 100_000))
+
+    def test_estimate_sweep_trials(self, monkeypatch, triangle):
+        # trials + BLOCK_TRIALS - 1 overflowed int32 before the first block;
+        # the stub stops each run at its first block, which both runs reach
+        firsts = []
+
+        def first_block(*args):
+            firsts.append(args)
+            raise _FirstBlock
+        monkeypatch.setattr(sampling, "_block_uniforms", first_block)
+        for trials in (np.int32(2**31 - 1), 2**31 - 1):
+            with pytest.raises(_FirstBlock):
+                estimate_sweep(triangle, [0.5], trials, 1, threads=1)
+        assert firsts[0] == (1, 0, BLOCK_TRIALS, 3)
+        assert firsts[:len(firsts) // 2] == firsts[len(firsts) // 2:]
 
 
 class TestThreadsArgument:

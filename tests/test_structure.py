@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -48,6 +49,22 @@ class TestPartition:
         assert data == {"A": [0, 2], "B": [1, 3], "X": [4, 5]}
         Q = Partition.from_json_dict(6, data)
         assert (Q.A, Q.B, Q.X) == (P.A, P.B, P.X)
+
+    def test_equal_members_equal_partitions(self):
+        # equality was identity: two builds of one partition differed
+        P = Partition.from_members(6, [0, 2], [1, 3], [4, 5])
+        assert P == Partition.from_members(6, [0, 2], [1, 3], [4, 5])
+        assert hash(P) == hash(Partition.from_json_dict(6, P.to_json_dict()))
+        assert P != Partition.from_members(6, [2, 0], [1, 3], [4, 5])
+        assert repr(P) == "Partition(|A|=2, |B|=2, |X|=2)"
+
+    @pytest.mark.parametrize("part", ["A", "B", "X"])
+    def test_parts_cannot_be_assigned(self, part):
+        # assignment skipped the disjoint-cover check
+        P = Partition.from_members(4, [0], [1, 2], [3])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(P, part, VertexSubset(4, []))
+        assert P.to_json_dict() == {"A": [0], "B": [1, 2], "X": [3]}
 
 
 class TestBalancedCutSearch:
@@ -203,6 +220,13 @@ class TestConnectorParams:
         P = Partition.from_members(20, range(8), range(8, 16), range(16, 20))
         with pytest.raises(BadParams):
             call(T, P)
+
+    def test_numpy_k_and_t_compute_as_python_ints(self):
+        # k + t overflowed uint8
+        T = random_tournament(20, 1)
+        P = Partition.from_members(20, range(8), range(8, 16), range(16, 20))
+        got = refine_partition(T, P, np.uint8(250), np.uint8(10))
+        assert got == refine_partition(T, P, 250, 10)
 
 
 class TestSharedChecks:
@@ -545,6 +569,11 @@ class TestGoodnessAndDefaults:
         # (t + 1) / sigma overflows to inf, or t + 1 has no float at all
         with pytest.raises(BadParams, match="t is too large"):
             default_connector_k(0.5, t)
+
+    def test_default_connector_k_numpy_t(self):
+        # t + 1 overflowed uint8 before the float division
+        assert default_connector_k(0.5, np.uint8(255)) == default_connector_k(0.5, 255)
+        assert default_connector_k(0.5, np.int64(7)) == default_connector_k(0.5, 7)
 
     def test_flat_json_serializations(self):
         T = extremal_main(24, 2)
