@@ -148,10 +148,10 @@ def write_sweep_report(report: dict, base_path: str) -> tuple[str, str]:
     _write_json(report, json_path)
     with open(csv_path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["p", "estimate", "ci_low", "ci_high", "bound", "gap"])
+        columns = ("p", "estimate", "ci_low", "ci_high", "bound", "gap")
+        writer.writerow(columns)
         for row in report["rows"]:
-            writer.writerow([repr(row[c]) for c in
-                             ("p", "estimate", "ci_low", "ci_high", "bound", "gap")])
+            writer.writerow([repr(row[c]) for c in columns])
     return json_path, csv_path
 
 

@@ -135,6 +135,16 @@ def validate(raw_matrix) -> Tournament:
     return Tournament(raw_matrix)
 
 
+def _vertex_labels(n: int, vertices) -> tuple[int, ...]:
+    """``vertices`` as Python ints; each must be an integer in 0..n-1
+    (operator.index, so 0.7 is a TypeError), else SubsetOutOfRange."""
+    labels = tuple(map(operator.index, vertices))
+    for v in labels:
+        if not 0 <= v < n:
+            raise SubsetOutOfRange(f"vertex {v} outside universe of size {n}")
+    return labels
+
+
 @dataclass(frozen=True, slots=True)
 class VertexSubset:
     """Ordered, duplicate-free set of vertex labels inside a fixed universe.
@@ -147,11 +157,7 @@ class VertexSubset:
     mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mem = tuple(map(operator.index, self.members))
-        for v in mem:
-            if not 0 <= v < self.universe_n:
-                raise SubsetOutOfRange(
-                    f"vertex {v} outside universe of size {self.universe_n}")
+        mem = _vertex_labels(self.universe_n, self.members)
         if len(set(mem)) != len(mem):
             raise ValueError("duplicate members in vertex subset")
         object.__setattr__(self, "members", mem)
@@ -333,7 +339,8 @@ def write_trn1(T: Tournament, path) -> None:
 
 
 def edge_count(T: Tournament, frm: Sequence[int], to: Sequence[int]) -> int:
-    """Number of edges directed from ``frm`` into ``to`` (the parts may overlap)."""
-    a = np.fromiter(frm, dtype=np.intp, count=len(frm))
-    b = np.fromiter(to, dtype=np.intp, count=len(to))
+    """Number of edges directed from ``frm`` into ``to`` (the parts may overlap).
+    Both lists are read as VertexSubset reads its members."""
+    a = np.array(_vertex_labels(T.n, frm), dtype=np.intp)
+    b = np.array(_vertex_labels(T.n, to), dtype=np.intp)
     return int(T.adj[np.ix_(a, b)].sum(dtype=np.int64))

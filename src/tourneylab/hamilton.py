@@ -282,9 +282,10 @@ def _prefix_dtype(n: int) -> np.dtype:
 def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     """Per-row Hamiltonicity of T[S] for a batch of subsets of V(T).
 
-    ``inclusion`` is a (batch, n) boolean matrix; row r encodes subset
-    S_r. Returns a boolean vector: T[S_r] Hamiltonian, with |S| <= 2
-    counting as non-Hamiltonian.
+    ``inclusion`` is a (batch, n) matrix of 0/1 entries, boolean or
+    numeric; row r encodes subset S_r, and any other entry raises
+    ValueError. Returns a boolean vector: T[S_r] Hamiltonian, with
+    |S| <= 2 counting as non-Hamiltonian.
 
     Kernel: one float32 product with M = adj^T - n*I gives each member v
     of S its score inside S minus n (in [-n, -1]) and each non-member its
@@ -311,6 +312,8 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     """
     if inclusion.ndim != 2 or inclusion.shape[1] != T.n:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")
+    if ((inclusion != 0) & (inclusion != 1)).any():
+        raise ValueError("inclusion entries must be 0 or 1")
     return _landau_strong(inclusion.astype(np.float32) @ _shifted_adjacency(T))
 
 

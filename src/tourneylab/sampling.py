@@ -68,27 +68,33 @@ class SamplePlan:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Monte Carlo outcome; wall_time is informational and never serialized."""
+    """Monte Carlo outcome: the success count of ``trials`` trials at ``p``
+    under ``master_seed``. The estimate and its 95% Wilson interval are
+    derived from the counts on access; wall_time is informational and
+    never serialized."""
 
     successes: int
     trials: int
-    point_estimate: float
-    ci_low: float
-    ci_high: float
     p: float
     master_seed: int
     wall_time: float
 
+    @property
+    def point_estimate(self) -> float:
+        return self.successes / self.trials
+
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.successes, self.trials)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.successes, self.trials)[1]
+
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "trials": self.trials,
-            "seed": self.master_seed,
-            "successes": self.successes,
-            "estimate": self.point_estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
+        return {"p": self.p, "trials": self.trials, "seed": self.master_seed,
+                "successes": self.successes, "estimate": self.point_estimate,
+                "ci_low": self.ci_low, "ci_high": self.ci_high}
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,10 @@ class BoundSpec:
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Score interval for a binomial proportion; well-behaved near 0 and 1."""
+    """Score interval for a binomial proportion; well-behaved near 0 and 1.
+    ``z`` is the normal quantile, finite and positive."""
+    if not 0 < z < math.inf:
+        raise BadParams(f"z must be finite and positive, got {z}")
     trials = check_integer("trials", trials, 1)
     successes = check_integer("successes", successes, 0, trials)
     ph = successes / trials
@@ -172,6 +181,10 @@ def estimate_sweep(
     processed in fixed blocks through the vectorized score-sequence
     kernel; the success counts are invariant to the worker count, which is
     ``threads`` (an integer >= 1) or, when that is None, thread_cap().
+    The pool gets one task per worker, at most one per block: task w runs
+    blocks w, w + workers, w + 2 * workers, ... and sums their counts, so
+    only the running blocks are held at any trial count, and the total is
+    the same integer sum over every block in any order.
 
     A block's words do not depend on p, so each block is drawn once for
     the whole sweep. Its words are reduced to one small-integer ``level``
@@ -237,29 +250,16 @@ def estimate_sweep(
                 reach[redo] = np.where(strong, first_blocked, 0)
         return counts
 
-    # pool.map submits all of its blocks at once, about 1.9 KB each, so
-    # they go in windows: the pending blocks stay few at any trial count
-    window = 64 * workers
-    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-        counts = sum(sum(pool.map(run_block, range(b, min(b + window, n_blocks))))
-                     for b in range(0, n_blocks, window))
+    def run_task(w: int) -> np.ndarray:
+        return sum(run_block(b) for b in range(w, n_blocks, workers))
+
+    # the pool starts at most one thread per task, so never more than blocks
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        counts = sum(pool.map(run_task, range(min(workers, n_blocks))))
 
     wall_time = time.perf_counter() - start
-    reports = []
-    for plan, j in zip(plans, np.searchsorted(distinct, thresholds)):
-        successes = int(counts[j])
-        lo, hi = wilson_interval(successes, trials)
-        reports.append(EstimateReport(
-            successes=successes,
-            trials=trials,
-            point_estimate=successes / trials,
-            ci_low=lo,
-            ci_high=hi,
-            p=plan.p,
-            master_seed=master_seed,
-            wall_time=wall_time,
-        ))
-    return reports
+    return [EstimateReport(int(counts[j]), trials, plan.p, master_seed, wall_time)
+            for plan, j in zip(plans, np.searchsorted(distinct, thresholds))]
 
 
 def estimate_hamiltonian_probability(

@@ -141,6 +141,12 @@ class BadEventFlags:
         return {"b1": self.b1, "b2": self.b2, "b3": self.b3, "b4": self.b4}
 
 
+def _check_universe(T: Tournament, part, what: str = "partition") -> None:
+    """BadParams unless ``part`` (a Partition or VertexSubset) is over V(T)."""
+    if part.universe_n != T.n:
+        raise BadParams(f"{what} universe does not match tournament")
+
+
 def _in_from(T: Tournament, members) -> tuple[np.ndarray, np.ndarray]:
     """(members as an index array, every vertex's in-degree from members)."""
     idx = np.fromiter(members, dtype=np.intp, count=len(members))
@@ -156,6 +162,7 @@ def _min_semidegree(idx: np.ndarray, in_from: np.ndarray) -> int:
 
 
 def evaluate_goodness(T: Tournament, P: Partition, eps: float) -> GoodnessReport:
+    _check_universe(T, P)
     n = T.n
     a, b = len(P.A), len(P.B)
     ia, in_a = _in_from(T, P.A.members)
@@ -255,6 +262,7 @@ def refine_partition(T: Tournament, P: Partition, k: int, t: int) -> RefineResul
     side the partition is returned unchanged with short_circuit set: that
     many connectors already settle the probability bound.
     """
+    _check_universe(T, P)
     k, t = _check_connector_params(k, t)
     ia, in_a = _in_from(T, P.A.members)
     ib, in_b = _in_from(T, P.B.members)
@@ -271,6 +279,7 @@ def refine_partition(T: Tournament, P: Partition, k: int, t: int) -> RefineResul
 
 def k_connectors(T: Tournament, P: Partition, k: int) -> VertexSubset:
     """Vertices with at least k out-neighbors in A and k in-neighbors in B."""
+    _check_universe(T, P)
     _check_connector_params(k)
     ia = np.fromiter(P.A.members, dtype=np.intp, count=len(P.A))
     out_to_a = T.adj[:, ia].sum(axis=1, dtype=np.int64)
@@ -288,6 +297,7 @@ def max_BA_matching(T: Tournament, P: Partition) -> MatchingCover:
     paths reach from the free B vertices, and the cover is (B minus Z)
     plus (A intersect Z). König equality and full coverage are asserted.
     """
+    _check_universe(T, P)
     ia = np.fromiter(P.A.members, dtype=np.intp, count=len(P.A))
     ib = np.fromiter(P.B.members, dtype=np.intp, count=len(P.B))
     beats = T.adj[ib][:, ia]  # two plain gathers are several times faster than np.ix_
@@ -348,8 +358,8 @@ def bad_events(T: Tournament, P: Partition, S: VertexSubset) -> BadEventFlags:
     halves is unreachable inside T[S]. Raises EmptyPart when S misses A
     or B entirely (the path events presuppose both ends exist).
     """
-    if S.universe_n != T.n:
-        raise BadParams("sample universe does not match tournament")
+    _check_universe(T, P)
+    _check_universe(T, S, "sample")
     s_mask = S.mask
     sa_mask = s_mask & P.A.mask
     sb_mask = s_mask & P.B.mask

@@ -217,6 +217,24 @@ class TestEdgeCount:
     def test_empty_target(self):
         assert edge_count(validate(TRIANGLE), [0, 1], []) == 0
 
+    def test_numpy_labels_count_as_ints(self):
+        T = transitive_tournament(6)
+        assert edge_count(T, np.array([0, 1]), [np.int8(2), 3]) == 4
+
+    @pytest.mark.parametrize("frm, to, error", [
+        ([0.7], [1], TypeError),        # counted as vertex 0
+        ([1], [2.0], TypeError),
+        ([-1], [1], SubsetOutOfRange),  # counted as vertex 5
+        ([0], [6], SubsetOutOfRange),   # numpy's IndexError
+        ([np.int64(6)], [0], SubsetOutOfRange),
+    ])
+    def test_labels_read_as_subset_members(self, frm, to, error):
+        T = transitive_tournament(6)
+        with pytest.raises(error):
+            edge_count(T, frm, to)
+        with pytest.raises(error):
+            VertexSubset(6, frm + to)
+
 
 class TestSizeCap:
     def test_vertex_count_limit(self):

@@ -393,6 +393,21 @@ class TestBatchKernel:
         with pytest.raises(ValueError):
             hamiltonian_batch(T, np.zeros((4, 3), dtype=bool))
 
+    def test_entries_other_than_zero_or_one_rejected(self):
+        T = random_tournament(7, 3)
+        inclusion = np.array([[m >> v & 1 for v in range(7)] for m in range(128)])
+        want = hamiltonian_batch(T, inclusion.astype(bool))
+        for dtype in (np.uint8, np.int64, np.float32, np.float64):
+            assert hamiltonian_batch(T, inclusion.astype(dtype)).tolist() == want.tolist()
+        # rows scaled by 2 gave 78 wrong verdicts out of 128; integer 2s on
+        # the transitive tournament raised a bare IndexError
+        for bad in (2.0 * inclusion, 0.5 * inclusion, np.where(inclusion, np.nan, 0.0),
+                    -inclusion[1:]):
+            with pytest.raises(ValueError):
+                hamiltonian_batch(T, bad)
+        with pytest.raises(ValueError):
+            hamiltonian_batch(transitive_tournament(6), np.full((3, 6), 2))
+
     def test_all_subsets_of_small_parents(self):
         # every one of the 2^n subsets, checked against both other routes
         for seed in range(6):

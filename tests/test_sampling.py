@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.random import Generator, Philox
 from conftest import brute_force_size_counts, planted_blocks
 
-from tourneylab import (SamplePlan, VertexSubset,
+from tourneylab import (EstimateReport, SamplePlan, VertexSubset,
                         estimate_hamiltonian_probability, estimate_sweep,
                         exact_hamiltonian_probability, extremal_main,
                         extremal_theorem1_even, extremal_theorem1_odd,
@@ -68,6 +69,27 @@ class TestWilson:
         lo95, hi95 = wilson_interval(40, 100, Z95)
         lo997, hi997 = wilson_interval(40, 100, Z997)
         assert lo997 < lo95 and hi95 < hi997
+
+    @pytest.mark.parametrize("z", [-1.96, 0, 0.0, math.nan, math.inf, -math.inf])
+    def test_z_must_be_finite_and_positive(self, z):
+        # a z <= 0 gave (0.4, 0.4) for 40/100, and nan or inf gave (0.0, 1.0)
+        with pytest.raises(BadParams):
+            wilson_interval(40, 100, z)
+
+
+class TestEstimateReport:
+    def test_holds_only_what_it_is_built_from(self):
+        assert [f.name for f in dataclasses.fields(EstimateReport)] == [
+            "successes", "trials", "p", "master_seed", "wall_time"]
+
+    @pytest.mark.parametrize("s, t", [(0, 10), (40, 100), (3, 7), (5000, 5000)])
+    def test_estimate_and_interval_derive_from_the_counts(self, s, t):
+        rep = EstimateReport(s, t, 0.5, 9, 1.25)
+        assert rep.point_estimate == s / t
+        assert (rep.ci_low, rep.ci_high) == wilson_interval(s, t)
+        assert rep.to_json_dict() == {
+            "p": 0.5, "trials": t, "seed": 9, "successes": s, "estimate": s / t,
+            "ci_low": wilson_interval(s, t)[0], "ci_high": wilson_interval(s, t)[1]}
 
 
 class TestSampleSubset:

@@ -229,6 +229,22 @@ class TestConnectorParams:
         assert got == refine_partition(T, P, 250, 10)
 
 
+class TestPartitionUniverse:
+    @pytest.mark.parametrize("call", [
+        lambda T, P: evaluate_goodness(T, P, 0.1),
+        lambda T, P: refine_partition(T, P, 1, 1),  # returned a 4-vertex partition
+        lambda T, P: k_connectors(T, P, 1),         # returned (0, 3, 4, 5)
+        lambda T, P: max_BA_matching(T, P),
+        lambda T, P: bad_events(T, P, VertexSubset.full(6)),
+    ], ids=["goodness", "refine", "connectors", "matching", "bad_events"])
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_partition_over_another_universe_rejected(self, call, m):
+        T = random_tournament(6, 2)
+        P = Partition.from_members(m, [0, 1], [2], range(3, m))
+        with pytest.raises(BadParams, match="partition universe"):
+            call(T, P)
+
+
 class TestSharedChecks:
     @pytest.mark.parametrize("call", [
         lambda T, P: default_connector_k(0.5, 1.5),

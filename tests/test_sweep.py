@@ -60,6 +60,24 @@ class TestSweep:
         estimate_sweep(random_tournament(40, 3), [0.3, 0.5, 0.7], TRIALS, 5, threads=1)
         assert sorted(args[1] for args in draws) == [0, 1, 2]
 
+    def test_counts_equal_at_any_worker_count(self, monkeypatch):
+        # 7 full blocks and a partial one: worker counts that do not divide
+        # the block count, and more workers than blocks
+        T, ps, trials = random_tournament(20, 2), [0.3, 0.6], 7 * BLOCK_TRIALS + 100
+        draws = []
+
+        def counting(*args):
+            draws.append(args[1])
+            return _block_uniforms(*args)
+
+        monkeypatch.setattr(sampling, "_block_uniforms", counting)
+        want = [per_p_count(T, p, trials, 3) for p in ps]
+        for threads in (1, 2, 3, 4, 8):
+            draws.clear()
+            reports = estimate_sweep(T, ps, trials, 3, threads=threads)
+            assert [r.successes for r in reports] == want
+            assert sorted(draws) == list(range(8))  # every block exactly once
+
     def test_pending_blocks_do_not_grow_with_trials(self):
         # each block handed to the pool at once holds about 1.9 KB until it
         # runs: 1000 blocks handed over together peak near 2.5 MB
