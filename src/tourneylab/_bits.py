@@ -21,6 +21,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def complement_rows(out_rows: list[int]) -> list[int]:
+    """In-bitsets of a tournament from its out-bitsets: N-(v) = V - N+(v) - {v}."""
+    full = (1 << len(out_rows)) - 1
+    return [full ^ 1 << v ^ m for v, m in enumerate(out_rows)]
+
+
 def rows_to_masks(adj: np.ndarray) -> list[int]:
     """Convert the rows of a 0/1 matrix to per-row bitsets (bit j = column j)."""
     packed = np.packbits(adj, axis=1, bitorder="little")

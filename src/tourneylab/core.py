@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bits import iter_bits, mask_of, rows_to_masks
+from ._bits import complement_rows, iter_bits, mask_of, rows_to_masks
 from .errors import DiagonalNonzero, PairViolation, SubsetOutOfRange, TooLarge, Trn1ParseError
 
 MAX_VERTICES = 1 << 16
@@ -73,8 +73,7 @@ class Tournament:
     @property
     def in_masks(self) -> list[int]:
         """Per-vertex bitset of in-neighbors N-(v) = V - N+(v) - {v}."""
-        full = (1 << self.n) - 1
-        return [full ^ 1 << v ^ m for v, m in enumerate(self.out_masks)]
+        return complement_rows(self.out_masks)
 
     def edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])

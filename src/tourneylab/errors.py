@@ -1,5 +1,6 @@
-"""Exception taxonomy, which the CLI maps to distinct exit codes, and the two
-input rules every module shares: check_integer and check_probability."""
+"""Exception taxonomy, which the CLI maps to distinct exit codes, and the
+input rules every module shares: check_integer, check_real and
+check_probability."""
 
 from __future__ import annotations
 
@@ -88,9 +89,16 @@ def check_integer(name: str, value, minimum: int | None = None,
     return value
 
 
+def check_real(name: str, value) -> None:
+    """Raise BadParams unless ``value`` is a real number and not a bool:
+    a string would fail its first comparison with a TypeError, and True
+    would run as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParams(f"{name} must be a real number, got {value!r}")
+
+
 def check_probability(p, name: str = "inclusion probability") -> None:
     """Raise BadParams unless ``p`` is a real number, not a bool, in (0, 1)."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise BadParams(f"{name} must be a real number, got {p!r}")
+    check_real(name, p)
     if not 0.0 < p < 1.0:
         raise BadParams(f"{name} must be in (0,1), got {p}")

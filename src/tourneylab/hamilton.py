@@ -16,6 +16,12 @@ purpose:
   the sweep decides without it. ``scc`` reads the same score order
   through ``_top_scorers``.
 
+``_module_partition`` splits V into modules (strong components, or the
+maximal modules of a strong T), and the estimator runs the score kernel
+on the quotient with one vertex per part, and on a part alone for a
+subset inside it. That is the same kernel on a smaller matrix, not a
+fourth route.
+
 They are cross-checked against each other in the test suite.
 ``hamilton_cycle`` builds the certificate: a Hamilton path by binary
 insertion (Rédei), closed into a cycle and grown by absorbing the rest of
@@ -30,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from ._bits import iter_bits
+from ._bits import complement_rows, iter_bits, rows_to_masks
 from .core import Tournament, VertexSubset
 from .errors import InvalidCertificate, TooLarge
 
@@ -118,7 +124,8 @@ def strong_on_mask(out_rows: list[int], in_rows: list[int], mask: int) -> bool:
 
 
 def strongly_connected(T: Tournament) -> bool:
-    return strong_on_mask(T.out_masks, T.in_masks, (1 << T.n) - 1)
+    out = T.out_masks
+    return strong_on_mask(out, complement_rows(out), (1 << T.n) - 1)
 
 
 def is_hamiltonian(T: Tournament) -> bool:
@@ -175,6 +182,99 @@ def scc(T: Tournament) -> SccDecomposition:
     component_of[order] = np.cumsum(cut) - cut
     count = int(cut.sum())
     return SccDecomposition(tuple(component_of.tolist()), count, tuple(range(count)))
+
+
+def _module_partition(T: Tournament) -> np.ndarray:
+    """One label per vertex, the parts numbered by their lowest vertex;
+    every part is a module, a set that each outside vertex beats entirely
+    or loses to entirely.
+
+    When T is not strong the parts are its strong components, so the
+    quotient Q (one vertex per part) is transitive. When T is strong with
+    n >= 3 they are its maximal modules (_maximal_modules), which
+    partition V with a prime Q. If S meets two or more parts, T[S] is
+    strong iff Q on the parts it meets is: a path of Q lifts to T[S], and
+    a split of Q into a dominating set and the rest splits T[S].
+    """
+    components = scc(T)
+    if components.component_count > 1 or T.n < 3:
+        labels = np.array(components.component_of)
+    else:
+        labels = _maximal_modules(T)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
+
+def _maximal_modules(T: Tournament) -> np.ndarray:
+    """Labels of the maximal modules of a strong T with n >= 3.
+
+    The maximal modules avoiding vertex 0 are the coarsest partition of
+    V - {0} into modules. Refinement finds it from V - {0}: a part whose
+    members agree on every outside vertex but some pivots is split by
+    their rows on the pivots, and each piece is then split in turn by its
+    former siblings, the only outside vertices it has not been split by.
+    A part no pivot splits is a module. No module avoiding 0 is ever
+    split, since its members agree on every vertex outside it. Two
+    vertices meet as part and pivot only at the split that separates
+    them, so all the keys together hold fewer than n^2 bits.
+
+    The maximal module M(0) holding 0 is 0 plus the parts Y whose smallest
+    module holding 0 and Y is not V. That module is 0 plus the parts Y
+    reaches in the forcing digraph F on the parts, where Z forces Y when Y
+    has an edge each way to {0, Z}: 0 -> Y -> Z or Z -> Y -> 0. So the
+    parts outside M(0), which reach every part, form the source component
+    of F; it is the one there, as Q is prime and M(0) != V.
+    """
+    adj = T.adj
+    n = T.n
+    labels = np.zeros(n, dtype=np.intp)
+    count = 1
+    work = [(np.arange(1, n), np.zeros(1, dtype=np.intp))]  # (part, pivots)
+    while work:
+        part, pivots = work.pop()
+        keys = np.packbits(adj[np.ix_(part, pivots)], axis=1)
+        _, key_of = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+                              return_inverse=True)
+        order = np.argsort(key_of, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(key_of[order])) + 1).tolist(), len(part)]
+        part = part[order]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi - lo == 1 or len(cuts) == 2:  # a single vertex, or a part no pivot splits
+                labels[part[lo:hi]] = count
+                count += 1
+            else:
+                work.append((part[lo:hi], np.concatenate((part[:lo], part[hi:]))))
+    _, reps = np.unique(labels, return_index=True)
+    out = rows_to_masks(adj[np.ix_(reps[1:], reps[1:])])
+    full = (1 << count - 1) - 1
+    beaten = rows_to_masks(adj[:1, reps[1:]])[0]  # the parts 0 beats
+    forces = [(full ^ 1 << z ^ m) & beaten | m & ~beaten for z, m in enumerate(out)]
+    forced_by = [m if beaten >> y & 1 else full ^ 1 << y ^ m for y, m in enumerate(out)]
+    source = reach_on_mask(forced_by, full, 1 << _last_finished(forces))
+    outside_m0 = np.zeros(count, dtype=bool)
+    outside_m0[[y + 1 for y in iter_bits(source)]] = True
+    return np.where(outside_m0[labels], labels, 0)
+
+
+def _last_finished(rows: list[int]) -> int:
+    """The vertex a depth-first search along the ``rows`` out-bitsets
+    finishes last; it lies in a source component (Kosaraju)."""
+    unvisited = (1 << len(rows)) - 1
+    last = 0
+    while unvisited:
+        stack = [(unvisited & -unvisited).bit_length() - 1]
+        unvisited &= unvisited - 1
+        while stack:
+            ahead = rows[stack[-1]] & unvisited
+            if ahead:
+                low = ahead & -ahead
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                last = stack.pop()
+    return last
 
 
 def hamilton_cycle(T: Tournament) -> HamiltonCertificate | None:
@@ -283,7 +383,8 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     """Per-row Hamiltonicity of T[S] for a batch of subsets of V(T).
 
     ``inclusion`` is a (batch, n) matrix of 0/1 entries, boolean or
-    numeric; row r encodes subset S_r, and any other entry raises
+    numeric, as an array or nested lists; row r encodes subset S_r, and
+    any other entry raises
     ValueError. Returns a boolean vector: T[S_r] Hamiltonian, with
     |S| <= 2 counting as non-Hamiltonian.
 
@@ -310,6 +411,7 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     are separate so that sampling.estimate_sweep builds M once per sweep
     and skips the test on the rows it decides by absorption.
     """
+    inclusion = np.asarray(inclusion)
     if inclusion.ndim != 2 or inclusion.shape[1] != T.n:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")
     if ((inclusion != 0) & (inclusion != 1)).any():
@@ -351,4 +453,5 @@ def hamiltonian_on_subset(T: Tournament, S: VertexSubset) -> bool:
     """is_hamiltonian(T[S]) without materializing the induced tournament."""
     if len(S) < 3:
         return False
-    return strong_on_mask(T.out_masks, T.in_masks, S.mask)
+    out = T.out_masks
+    return strong_on_mask(out, complement_rows(out), S.mask)

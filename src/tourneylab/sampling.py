@@ -38,8 +38,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import Tournament, VertexSubset
-from .errors import BadParams, TooLarge, check_integer, check_probability
-from .hamilton import _landau_strong, _shifted_adjacency
+from .errors import BadParams, TooLarge, check_integer, check_probability, check_real
+from .hamilton import _landau_strong, _module_partition, _shifted_adjacency
 
 EXACT_MAX_N = 20
 CLOSURE_CHUNK = 1 << 14
@@ -110,7 +110,8 @@ class BoundSpec:
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Score interval for a binomial proportion; well-behaved near 0 and 1.
-    ``z`` is the normal quantile, finite and positive."""
+    ``z`` is the normal quantile, a finite and positive real number."""
+    check_real("z", z)
     if not 0 < z < math.inf:
         raise BadParams(f"z must be finite and positive, got {z}")
     trials = check_integer("trials", trials, 1)
@@ -169,6 +170,97 @@ def thread_cap() -> int:
     return os.cpu_count() or 1
 
 
+@dataclass(frozen=True)
+class _Quotient:
+    """T's module quotient Q as estimate_sweep reads it (see
+    hamilton._module_partition). ``order`` lists the vertices part by
+    part, and part b starts at ``starts[b]`` in it; ``order`` is None when
+    that list is 0..n-1. ``shifted`` is Q's shifted matrix, whose vertex b
+    is part b's lowest vertex. ``inner`` holds (b, start, stop, shifted
+    matrix of T[b]) for each part b of 3 or more vertices, which are
+    order[start:stop]. With all parts singletons, Q is T and ``starts`` is
+    None."""
+
+    order: np.ndarray | None
+    starts: np.ndarray | None
+    shifted: np.ndarray
+    inner: tuple[tuple[int, int, int, np.ndarray], ...]
+
+
+def _quotient(T: Tournament) -> _Quotient:
+    """T's module quotient and its parts' sub-tournaments, built once per sweep."""
+    labels = _module_partition(T)
+    if labels[-1] == T.n - 1:  # parts are numbered by their lowest vertex
+        return _Quotient(None, None, _shifted_adjacency(T), ())
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    stops = np.append(starts[1:], T.n)
+
+    def shifted(vertices: np.ndarray) -> np.ndarray:
+        return _shifted_adjacency(Tournament(T.adj[np.ix_(vertices, vertices)], _trusted=True))
+
+    inner = tuple((b, start, stop, shifted(order[start:stop]))
+                  for b, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist()))
+                  if stop - start >= 3)
+    grouped = bool(np.all(labels[1:] >= labels[:-1]))
+    return _Quotient(None if grouped else order, starts, shifted(order[starts]), inner)
+
+
+def _block_verdicts(level: np.ndarray, last: int, quotient: _Quotient) -> np.ndarray:
+    """verdicts[j, r]: T[S] Hamiltonian for the subset S of block row r's
+    vertices of level at most j (see estimate_sweep).
+
+    A part's level is the lowest of its vertices', so the subset of parts
+    a row meets grows with j as S does. The levels run in ascending order
+    on Q. If Q[S'_b] is strong and every part of S'_j ∖ S'_b has an in-
+    and an out-neighbour in S'_b, then Q[S'_j] is strong (absorption, as
+    in Camion's cycle growth), so the score kernel runs at level j only on
+    the rows this cannot decide. Each row keeps whether its last
+    kernel-checked S'_b was strong and the lowest level of a part blocked
+    by S'_b, one with no in- or no out-neighbour in S'_b; in the kernel's
+    product a non-member's entry is its out-degree into S'_b, so it is
+    blocked iff that entry is 0 or |S'_b|. The last level computes no
+    blocked parts. A row that meets two or more parts is strong iff Q on
+    them is; a row inside one part b is decided by the kernel on T[b], and
+    it is never absorbed at the next level.
+    """
+    rows = len(level)
+    if quotient.starts is None:
+        grouped = part_level = level
+    else:
+        grouped = level if quotient.order is None else level[:, quotient.order]
+        part_level = np.minimum.reduceat(grouped, quotient.starts, axis=1)
+    k = part_level.shape[1]
+    verdicts = np.ones((last + 1, rows), dtype=bool)
+    # Row r is Hamiltonian at every level below reach[r] by absorption
+    # into its last kernel-checked subset; 0 while that is not strong.
+    reach = np.zeros(rows, dtype=level.dtype)
+    for j in range(last + 1):
+        redo = reach <= j
+        row_level = part_level[redo] if j else part_level  # all rows at the first level
+        product = (row_level <= j).astype(np.float32) @ quotient.shifted
+        if j < last:
+            # out-degree 0 or |S'| into S': no out- or no in-neighbour
+            # there (members' entries are negative and never block)
+            out = product[:, :k]
+            blocked = (out == 0) | (out == product[:, k:])
+            first_blocked = row_level.min(axis=1, where=blocked, initial=last + 1)
+        alone = np.flatnonzero(product[:, k] == 1) if quotient.inner else ()
+        strong = _landau_strong(product)
+        if j < last:
+            reach[redo] = np.where(strong, first_blocked, 0)
+        if len(alone):
+            part = row_level[alone].argmin(axis=1)
+            block_rows = np.flatnonzero(redo)[alone]
+            for b, start, stop, shifted in quotient.inner:
+                hit = part == b
+                if hit.any():
+                    members = grouped[block_rows[hit], start:stop] <= j
+                    strong[alone[hit]] = _landau_strong(members.astype(np.float32) @ shifted)
+        verdicts[j, redo] = strong
+    return verdicts
+
+
 def estimate_sweep(
     T: Tournament, p_values: Iterable[float], trials: int, master_seed: int,
     threads: int | None = None,
@@ -193,18 +285,14 @@ def estimate_sweep(
     index j iff its level is at most j, so block memory does not grow with
     the number of p. Every report's wall_time is the whole sweep's.
 
-    The levels run in ascending order. If T[S_b] is strong and every
-    vertex of S_j ∖ S_b has an in- and an out-neighbour in S_b, then
-    T[S_j] is strong (absorption, as in Camion's cycle growth), so the
-    score kernel runs at level j only on the rows this cannot decide, and
-    every count is still the kernel's own. Each row keeps
-    whether its last kernel-checked subset S_b was strong and the lowest
-    level of a vertex blocked by S_b, one with no in- or no out-neighbour
-    in S_b; in the kernel's product a non-member's entry is its
-    out-degree into S_b, so it is blocked iff that entry is 0 or |S_b|.
-    A row whose S_b was strong and whose S_j holds no blocked vertex is
-    strong without the kernel. The last level computes no blocked
-    vertices, so a one-p estimate runs the kernel once on every row.
+    The kernel runs on the module quotient Q of T, one vertex per part of
+    hamilton._module_partition: T[S] is strong iff Q is strong on the
+    parts S meets, when it meets two or more, and iff T[b] is strong on S
+    when S lies inside part b. On the main family Q has 3 vertices in
+    place of n, and with no nontrivial module Q is T. _block_verdicts gives
+    the rows each level decides by absorption without the kernel; every
+    count is still the kernel's own on T, and a one-p estimate runs the
+    kernel once on every row.
     """
     plans = [SamplePlan(p=p, trials=trials, master_seed=master_seed) for p in p_values]
     if not plans:
@@ -218,7 +306,7 @@ def estimate_sweep(
     distinct = np.unique(thresholds)
     last = len(distinct) - 1
     level_dtype = np.min_scalar_type(len(distinct))
-    shifted = _shifted_adjacency(T)
+    quotient = _quotient(T)
 
     def run_block(b: int) -> np.ndarray:
         rows = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
@@ -230,25 +318,7 @@ def estimate_sweep(
         # lifts a block's heap peak past the C allocator's trim threshold,
         # and each block then faults its pages in afresh.
         del words
-        counts = np.zeros(last + 1, dtype=np.int64)
-        # Row r is Hamiltonian at every level below reach[r] by absorption
-        # into its last kernel-checked subset; 0 while that is not strong.
-        reach = np.zeros(rows, dtype=level_dtype)
-        for j in range(last + 1):
-            redo = reach <= j
-            row_level = level[redo] if j else level  # all rows at the first level
-            product = (row_level <= j).astype(np.float32) @ shifted
-            if j < last:
-                # out-degree 0 or |S| into S: no out- or no in-neighbour
-                # there (members' entries are negative and never block)
-                out = product[:, :n]
-                blocked = (out == 0) | (out == product[:, n:])
-                first_blocked = row_level.min(axis=1, where=blocked, initial=last + 1)
-            strong = _landau_strong(product)
-            counts[j] = rows - len(row_level) + np.count_nonzero(strong)
-            if j < last:
-                reach[redo] = np.where(strong, first_blocked, 0)
-        return counts
+        return np.count_nonzero(_block_verdicts(level, last, quotient), axis=1)
 
     def run_task(w: int) -> np.ndarray:
         return sum(run_block(b) for b in range(w, n_blocks, workers))

@@ -16,6 +16,8 @@ from tourneylab import (HamiltonCertificate, Tournament, VertexSubset,
                         is_hamiltonian, is_valid_certificate,
                         random_tournament, rotational_tournament, scc,
                         strongly_connected, transitive_tournament)
+from tourneylab import core
+from tourneylab._bits import rows_to_masks
 from tourneylab.core import MAX_VERTICES
 from tourneylab.errors import InvalidCertificate, TooLarge
 from tourneylab.hamilton import (_HK_CHUNK, _odd_mask_layers, _prefix_dtype,
@@ -117,6 +119,24 @@ class TestIsHamiltonian:
             n = int(rng.integers(4, 17))
             T = random_tournament(n, int(rng.integers(0, 2**32)))
             assert is_hamiltonian(T) == brute_force_hamiltonian(T)
+
+    def test_out_bitsets_are_read_once_per_call(self, monkeypatch):
+        # the in-bitsets are the out-bitsets' complements, so one read serves
+        # both searches; is_hamiltonian at n = 2000 read them twice
+        calls = []
+
+        def counting(adj):
+            calls.append(adj.shape)
+            return rows_to_masks(adj)
+
+        monkeypatch.setattr(core, "rows_to_masks", counting)
+        T = random_tournament(30, 4)
+        for decide in (lambda: strongly_connected(T), lambda: is_hamiltonian(T),
+                       lambda: hamiltonian_on_subset(T, VertexSubset(30, range(0, 30, 2)))):
+            calls.clear()
+            decide()
+            assert calls == [(30, 30)]
+        assert is_hamiltonian(T) == strongly_connected_by_bfs(T)
 
 
 class TestBruteForce:
@@ -392,6 +412,18 @@ class TestBatchKernel:
         T = rotational_tournament(2)
         with pytest.raises(ValueError):
             hamiltonian_batch(T, np.zeros((4, 3), dtype=bool))
+
+    def test_nested_lists_give_the_arrays_verdicts(self):
+        # a nested list raised AttributeError on its missing ndim
+        assert hamiltonian_batch(transitive_tournament(4), [[1, 1, 1, 1]]).tolist() == [False]
+        T = random_tournament(6, 1)
+        rows = [[m >> v & 1 for v in range(6)] for m in range(64)]
+        assert (hamiltonian_batch(T, rows).tolist()
+                == hamiltonian_batch(T, np.array(rows)).tolist())
+        assert (hamiltonian_batch(T, [[bool(x) for x in row] for row in rows]).tolist()
+                == hamiltonian_batch(T, np.array(rows, dtype=bool)).tolist())
+        with pytest.raises(ValueError):
+            hamiltonian_batch(T, [1, 0, 1, 0, 1, 0])
 
     def test_entries_other_than_zero_or_one_rejected(self):
         T = random_tournament(7, 3)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import pathlib
+import sys
 import types
 
 import tourneylab
@@ -37,3 +38,18 @@ def test_value_types_are_frozen_dataclasses():
             continue
         assert dataclasses.is_dataclass(cls), cls
         assert cls.__dataclass_params__.frozen, cls
+
+
+def test_imports_are_the_package_the_standard_library_or_numpy():
+    # numpy is the only declared dependency; an import of anything else,
+    # even inside a function, would fail on a clean install or slow set-up
+    sources = sorted(pathlib.Path(tourneylab.__file__).parent.glob("*.py"))
+    found = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert "numpy" in found
+    assert found - {"tourneylab", "numpy"} <= sys.stdlib_module_names, found

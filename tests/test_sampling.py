@@ -76,6 +76,16 @@ class TestWilson:
         with pytest.raises(BadParams):
             wilson_interval(40, 100, z)
 
+    @pytest.mark.parametrize("z", ["1.96", True, None, 1.96j, [1.96]])
+    def test_z_must_be_a_real_number(self, z):
+        # "1.96" raised a raw TypeError, and True ran as z = 1
+        with pytest.raises(BadParams):
+            wilson_interval(40, 100, z)
+
+    @pytest.mark.parametrize("z", [np.float64(Z95), np.float32(2.5), np.int64(2), 2])
+    def test_numpy_and_integer_z_accepted(self, z):
+        assert wilson_interval(40, 100, z) == wilson_interval(40, 100, float(z))
+
 
 class TestEstimateReport:
     def test_holds_only_what_it_is_built_from(self):
