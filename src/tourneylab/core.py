@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bits import complement_rows, iter_bits, mask_of, rows_to_masks
-from .errors import DiagonalNonzero, PairViolation, SubsetOutOfRange, TooLarge, Trn1ParseError
+from .errors import (DiagonalNonzero, PairViolation, SubsetOutOfRange, TooLarge,
+                     Trn1ParseError, check_integer)
 
 MAX_VERTICES = 1 << 16
 # Rows (or columns) per block of the passes that would otherwise hold an
@@ -156,9 +157,11 @@ class VertexSubset:
     mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mem = _vertex_labels(self.universe_n, self.members)
+        n = check_integer("universe_n", self.universe_n, 0)
+        mem = _vertex_labels(n, self.members)
         if len(set(mem)) != len(mem):
             raise ValueError("duplicate members in vertex subset")
+        object.__setattr__(self, "universe_n", n)
         object.__setattr__(self, "members", mem)
         object.__setattr__(self, "mask", mask_of(mem))
 
@@ -168,6 +171,7 @@ class VertexSubset:
 
     @classmethod
     def from_mask(cls, universe_n: int, mask: int) -> "VertexSubset":
+        universe_n = check_integer("universe_n", universe_n, 0)
         if mask < 0 or mask >> universe_n:
             raise SubsetOutOfRange(f"mask has bits outside universe {universe_n}")
         return cls(universe_n, iter_bits(mask))
@@ -208,15 +212,21 @@ def semidegrees(T: Tournament) -> SemidegreeProfile:
     )
 
 
+def _check_universe(T: Tournament, part, what: str = "subset") -> None:
+    """SubsetOutOfRange unless ``part``, a VertexSubset or a Partition,
+    is over V(T); ``what`` names it in the message."""
+    if part.universe_n != T.n:
+        raise SubsetOutOfRange(
+            f"{what} universe {part.universe_n} does not match tournament n={T.n}")
+
+
 def induced(T: Tournament, S: VertexSubset) -> Tournament:
     """Subtournament T[S], vertices relabeled 0..|S|-1 in S's order.
 
     The returned tournament keeps ``parent_labels`` (new label i came from
     S.members[i]) so certificates can be translated back to T's labels.
     """
-    if S.universe_n != T.n:
-        raise SubsetOutOfRange(
-            f"subset universe {S.universe_n} does not match tournament n={T.n}")
+    _check_universe(T, S)
     idx = np.fromiter(S.members, dtype=np.intp, count=len(S.members))
     sub = T.adj[np.ix_(idx, idx)]
     return Tournament(sub, parent_labels=S.members, _trusted=True)
@@ -228,8 +238,7 @@ def induced(T: Tournament, S: VertexSubset) -> Tournament:
 def format_trn1(T: Tournament) -> str:
     n = T.n
     cells = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
-    cells[:, :n] = T.adj != 0
-    cells[:, :n] += ord("0")
+    np.add(T.adj, ord("0"), out=cells[:, :n])
     return f"TRN1 {n}\n" + cells.tobytes().decode("ascii")
 
 

@@ -1,6 +1,10 @@
 """Exception taxonomy, which the CLI maps to distinct exit codes, and the
 input rules every module shares: check_integer, check_real and
-check_probability."""
+check_probability.
+
+SubsetOutOfRange is a BadParams. The CLI's exit codes are unchanged: it
+looks an error's code up along its MRO, which meets SubsetOutOfRange's
+own entry (exit 4) before TourneyLabError's (exit 2)."""
 
 from __future__ import annotations
 
@@ -29,10 +33,6 @@ class PairViolation(TourneyLabError):
         super().__init__(f"pair ({i},{j}) must satisfy adj[i][j] + adj[j][i] = 1")
 
 
-class SubsetOutOfRange(TourneyLabError):
-    """A vertex subset references labels outside its universe."""
-
-
 class TooLarge(TourneyLabError):
     """Input exceeds a size cap: MAX_VERTICES, or an exhaustive operation's."""
 
@@ -44,6 +44,11 @@ class TooLarge(TourneyLabError):
 
 class BadParams(TourneyLabError):
     """Operation parameters violate a precondition."""
+
+
+class SubsetOutOfRange(BadParams):
+    """A vertex subset references labels outside its universe, or a subset
+    or partition is over another universe than its tournament's."""
 
 
 class BadConfig(TourneyLabError):

@@ -77,10 +77,8 @@ def near_regular_tournament(m: int) -> Tournament:
     """
     m = check_integer("m", m, 1)
     _check_order(m)
-    if m == 1:
-        return Tournament(np.zeros((1, 1), dtype=np.uint8), _trusted=True)
-    if m == 2:
-        return transitive_tournament(2)
+    if m <= 2:
+        return transitive_tournament(m)
     if m % 2 == 1:
         return rotational_tournament((m - 1) // 2)
     base = rotational_tournament((m - 2) // 2).adj

@@ -37,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from ._bits import complement_rows, iter_bits, rows_to_masks
-from .core import Tournament, VertexSubset
+from .core import Tournament, VertexSubset, _check_universe
 from .errors import InvalidCertificate, TooLarge
 
 BRUTE_FORCE_MAX_N = 20
@@ -248,11 +248,11 @@ def _maximal_modules(T: Tournament) -> np.ndarray:
                 work.append((part[lo:hi], np.concatenate((part[:lo], part[hi:]))))
     _, reps = np.unique(labels, return_index=True)
     out = rows_to_masks(adj[np.ix_(reps[1:], reps[1:])])
-    full = (1 << count - 1) - 1
+    inn = complement_rows(out)
     beaten = rows_to_masks(adj[:1, reps[1:]])[0]  # the parts 0 beats
-    forces = [(full ^ 1 << z ^ m) & beaten | m & ~beaten for z, m in enumerate(out)]
-    forced_by = [m if beaten >> y & 1 else full ^ 1 << y ^ m for y, m in enumerate(out)]
-    source = reach_on_mask(forced_by, full, 1 << _last_finished(forces))
+    forces = [i & beaten | m & ~beaten for m, i in zip(out, inn)]
+    forced_by = [m if beaten >> y & 1 else i for y, (m, i) in enumerate(zip(out, inn))]
+    source = reach_on_mask(forced_by, (1 << len(out)) - 1, 1 << _last_finished(forces))
     outside_m0 = np.zeros(count, dtype=bool)
     outside_m0[[y + 1 for y in iter_bits(source)]] = True
     return np.where(outside_m0[labels], labels, 0)
@@ -416,15 +416,18 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")
     if ((inclusion != 0) & (inclusion != 1)).any():
         raise ValueError("inclusion entries must be 0 or 1")
-    return _landau_strong(inclusion.astype(np.float32) @ _shifted_adjacency(T))
+    return _landau_strong(inclusion.astype(np.float32) @ _shifted_adjacency(T.adj))
 
 
-def _shifted_adjacency(T: Tournament) -> np.ndarray:
+def _shifted_adjacency(adj: np.ndarray) -> np.ndarray:
     """M = adj^T - n*I in float32 with one more column of ones, (n, n + 1):
-    the right-hand side of hamiltonian_batch's product."""
-    n = T.n
+    the right-hand side of hamiltonian_batch's product. ``adj`` is the 0/1
+    matrix of a tournament on n vertices; sampling.estimate_sweep passes
+    the matrices of its module quotient and of its parts, which it takes
+    from T.adj without building a Tournament."""
+    n = len(adj)
     shifted = np.ones((n, n + 1), dtype=np.float32)
-    shifted[:, :n] = T.adj.T
+    shifted[:, :n] = adj.T
     np.fill_diagonal(shifted[:, :n], -n)
     return shifted
 
@@ -451,6 +454,7 @@ def _landau_strong(product: np.ndarray) -> np.ndarray:
 
 def hamiltonian_on_subset(T: Tournament, S: VertexSubset) -> bool:
     """is_hamiltonian(T[S]) without materializing the induced tournament."""
+    _check_universe(T, S)
     if len(S) < 3:
         return False
     out = T.out_masks

@@ -191,19 +191,15 @@ def _quotient(T: Tournament) -> _Quotient:
     """T's module quotient and its parts' sub-tournaments, built once per sweep."""
     labels = _module_partition(T)
     if labels[-1] == T.n - 1:  # parts are numbered by their lowest vertex
-        return _Quotient(None, None, _shifted_adjacency(T), ())
+        return _Quotient(None, None, _shifted_adjacency(T.adj), ())
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    stops = np.append(starts[1:], T.n)
-
-    def shifted(vertices: np.ndarray) -> np.ndarray:
-        return _shifted_adjacency(Tournament(T.adj[np.ix_(vertices, vertices)], _trusted=True))
-
-    inner = tuple((b, start, stop, shifted(order[start:stop]))
-                  for b, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist()))
-                  if stop - start >= 3)
+    inner = tuple((b, start, start + len(v), _shifted_adjacency(T.adj[np.ix_(v, v)]))
+                  for b, (start, v) in enumerate(zip(starts.tolist(), np.split(order, starts[1:])))
+                  if len(v) >= 3)
+    Q = T.adj[np.ix_(order[starts], order[starts])]  # vertex b is part b's lowest vertex
     grouped = bool(np.all(labels[1:] >= labels[:-1]))
-    return _Quotient(None if grouped else order, starts, shifted(order[starts]), inner)
+    return _Quotient(None if grouped else order, starts, _shifted_adjacency(Q), inner)
 
 
 def _block_verdicts(level: np.ndarray, last: int, quotient: _Quotient) -> np.ndarray:

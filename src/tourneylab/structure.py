@@ -17,12 +17,12 @@ by phases of augmenting search; the last phase gives the König cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil, inf, log, log1p, sqrt
 
 import numpy as np
 
-from .core import Tournament, VertexSubset
+from .core import Tournament, VertexSubset, _check_universe
 from .errors import BadParams, EmptyPart, check_integer, check_probability
 from .hamilton import _top_scorers, hamiltonian_on_subset, reach_on_mask
 
@@ -62,8 +62,7 @@ class Partition:
                                       sorted(moved.union(self.X)))
 
     def to_json_dict(self) -> dict:
-        return {"A": list(self.A.members), "B": list(self.B.members),
-                "X": list(self.X.members)}
+        return {name: list(getattr(self, name).members) for name in "ABX"}
 
     @classmethod
     def from_json_dict(cls, n: int, data: dict) -> "Partition":
@@ -95,9 +94,7 @@ class GoodnessReport:
         return self.size_ok and self.semidegree_ok and self.density_ok
 
     def to_json_dict(self) -> dict:
-        return {"eps": self.eps, "size_ok": self.size_ok,
-                "semidegree_ok": self.semidegree_ok, "density_ok": self.density_ok,
-                "e_AB": self.e_AB, "e_BA": self.e_BA, "is_good": self.is_good}
+        return {**asdict(self), "is_good": self.is_good}
 
 
 @dataclass(frozen=True)
@@ -138,13 +135,7 @@ class BadEventFlags:
         return self.b1 or self.b2 or self.b3 or self.b4
 
     def to_json_dict(self) -> dict:
-        return {"b1": self.b1, "b2": self.b2, "b3": self.b3, "b4": self.b4}
-
-
-def _check_universe(T: Tournament, part, what: str = "partition") -> None:
-    """BadParams unless ``part`` (a Partition or VertexSubset) is over V(T)."""
-    if part.universe_n != T.n:
-        raise BadParams(f"{what} universe does not match tournament")
+        return asdict(self)
 
 
 def _in_from(T: Tournament, members) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +153,7 @@ def _min_semidegree(idx: np.ndarray, in_from: np.ndarray) -> int:
 
 
 def evaluate_goodness(T: Tournament, P: Partition, eps: float) -> GoodnessReport:
-    _check_universe(T, P)
+    _check_universe(T, P, "partition")
     n = T.n
     a, b = len(P.A), len(P.B)
     ia, in_a = _in_from(T, P.A.members)
@@ -203,6 +194,8 @@ def removal_sets(
     in-neighbors inside A0, A0+ those with at most n/5 out-neighbors inside
     A0; B0's sets mirror this with in/out swapped.
     """
+    _check_universe(T, A0)
+    _check_universe(T, B0)
     n = T.n
     delta = sqrt(eps)
     scarce = (0.25 - delta) * n
@@ -262,7 +255,7 @@ def refine_partition(T: Tournament, P: Partition, k: int, t: int) -> RefineResul
     side the partition is returned unchanged with short_circuit set: that
     many connectors already settle the probability bound.
     """
-    _check_universe(T, P)
+    _check_universe(T, P, "partition")
     k, t = _check_connector_params(k, t)
     ia, in_a = _in_from(T, P.A.members)
     ib, in_b = _in_from(T, P.B.members)
@@ -279,7 +272,7 @@ def refine_partition(T: Tournament, P: Partition, k: int, t: int) -> RefineResul
 
 def k_connectors(T: Tournament, P: Partition, k: int) -> VertexSubset:
     """Vertices with at least k out-neighbors in A and k in-neighbors in B."""
-    _check_universe(T, P)
+    _check_universe(T, P, "partition")
     _check_connector_params(k)
     ia = np.fromiter(P.A.members, dtype=np.intp, count=len(P.A))
     out_to_a = T.adj[:, ia].sum(axis=1, dtype=np.int64)
@@ -297,7 +290,7 @@ def max_BA_matching(T: Tournament, P: Partition) -> MatchingCover:
     paths reach from the free B vertices, and the cover is (B minus Z)
     plus (A intersect Z). König equality and full coverage are asserted.
     """
-    _check_universe(T, P)
+    _check_universe(T, P, "partition")
     ia = np.fromiter(P.A.members, dtype=np.intp, count=len(P.A))
     ib = np.fromiter(P.B.members, dtype=np.intp, count=len(P.B))
     beats = T.adj[ib][:, ia]  # two plain gathers are several times faster than np.ix_
@@ -358,7 +351,7 @@ def bad_events(T: Tournament, P: Partition, S: VertexSubset) -> BadEventFlags:
     halves is unreachable inside T[S]. Raises EmptyPart when S misses A
     or B entirely (the path events presuppose both ends exist).
     """
-    _check_universe(T, P)
+    _check_universe(T, P, "partition")
     _check_universe(T, S, "sample")
     s_mask = S.mask
     sa_mask = s_mask & P.A.mask

@@ -4,7 +4,8 @@ These deliberately avoid the package's optimized code paths: matching by
 exhaustive recursion, reachability by plain per-vertex BFS over
 adjacency lists, the balanced cut by enumerating every split, the exact
 size counts by Held–Karp on every induced subtournament, so they can
-referee the fast implementations.
+referee the fast implementations. The test inputs and the per-p score
+kernel count that several modules share live here too.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import numpy as np
 import pytest
 
 from tourneylab import (Tournament, VertexSubset, brute_force_hamiltonian,
-                        induced)
+                        hamiltonian_batch, induced)
 from tourneylab.core import MAX_VERTICES
 from tourneylab.errors import (DiagonalNonzero, PairViolation, TooLarge,
                                Trn1ParseError)
+from tourneylab.sampling import BLOCK_TRIALS, _block_uniforms, _word_threshold
 
 
 def brute_force_max_matching(edges: list[tuple[int, int]]) -> int:
@@ -138,6 +140,26 @@ def reference_trn1(text: str) -> np.ndarray:
             if adj[i, j] + adj[j, i] != 1:
                 raise PairViolation(i, j)
     return adj
+
+
+def path_tournament(n: int) -> Tournament:
+    """i -> i+1, and j -> i for j >= i + 2: the strong subsets are the runs
+    of consecutive vertices, and a closure from a run's lowest member takes
+    one BFS level per vertex."""
+    adj = np.tril(np.ones((n, n), dtype=np.uint8), -2)
+    adj[np.arange(n - 1), np.arange(1, n)] = 1
+    return Tournament(adj)
+
+
+def kernel_count(T: Tournament, p: float, trials: int, master_seed: int) -> int:
+    """The success count of the score kernel run on T for every row, with
+    every block drawn again for this p alone."""
+    successes = 0
+    for start in range(0, trials, BLOCK_TRIALS):
+        rows = min(BLOCK_TRIALS, trials - start)
+        words = _block_uniforms(master_seed, start // BLOCK_TRIALS, rows, T.n)
+        successes += int(hamiltonian_batch(T, words < _word_threshold(p)).sum())
+    return successes
 
 
 def planted_blocks(seed: int) -> Tournament:

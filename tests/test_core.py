@@ -14,7 +14,7 @@ from tourneylab import (Tournament, VertexSubset, edge_count, format_trn1,
                         transitive_tournament, validate, write_trn1)
 from tourneylab._bits import rows_to_masks
 from tourneylab.core import _check_invariants
-from tourneylab.errors import (DiagonalNonzero, PairViolation,
+from tourneylab.errors import (BadParams, DiagonalNonzero, PairViolation,
                                SubsetOutOfRange, TooLarge, TourneyLabError,
                                Trn1ParseError)
 
@@ -205,6 +205,21 @@ class TestVertexSubset:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, name, value)
         assert s.members == (1, 3) and s.mask == 0b1010 and 0 not in s
+
+    @pytest.mark.parametrize("universe", [2.5, True, -1, "3", None])
+    def test_universe_must_be_a_non_negative_integer(self, universe):
+        # each was accepted: 2.5 gave a subset whose universe_n read 2.5;
+        # from_mask raised TypeError or ValueError from its shift
+        with pytest.raises(BadParams, match="universe_n"):
+            VertexSubset(universe, [])
+        with pytest.raises(BadParams, match="universe_n"):
+            VertexSubset.from_mask(universe, 0)
+
+    def test_universe_is_stored_as_a_python_int(self):
+        s = VertexSubset(np.int8(5), [4])
+        assert type(s.universe_n) is int
+        assert repr(s) == "VertexSubset(universe_n=5, members=(4,))"
+        assert s == VertexSubset(5, [4]) and hash(s) == hash(VertexSubset(5, [4]))
 
 
 class TestEdgeCount:

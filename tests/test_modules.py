@@ -6,7 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import planted_blocks, strongly_connected_by_bfs, tournament_from_bits
+from conftest import (kernel_count, path_tournament, planted_blocks,
+                      strongly_connected_by_bfs, tournament_from_bits)
 
 from tourneylab import (Tournament, estimate_sweep, extremal_main,
                         extremal_main_blocks, extremal_theorem1_even,
@@ -61,13 +62,6 @@ def brute_force_partition(T: Tournament) -> list[int]:
             assert labels[v] is None  # the maximal modules of a strong T are disjoint
             labels[v] = i
     return by_lowest_vertex(labels)
-
-
-def path_tournament(n: int) -> Tournament:
-    """i -> i+1, and j -> i for j >= i + 2."""
-    adj = np.tril(np.ones((n, n), dtype=np.uint8), -2)
-    adj[np.arange(n - 1), np.arange(1, n)] = 1
-    return Tournament(adj)
 
 
 def permuted(T: Tournament, seed: int) -> tuple[Tournament, np.ndarray]:
@@ -178,16 +172,6 @@ def referee_inputs() -> dict[str, Tournament]:
 
 
 REFEREE_INPUTS = referee_inputs()
-
-
-def kernel_count(T: Tournament, p: float, trials: int, master_seed: int) -> int:
-    """The success count of the score kernel run on T for every row."""
-    successes = 0
-    for start in range(0, trials, BLOCK_TRIALS):
-        rows = min(BLOCK_TRIALS, trials - start)
-        words = _block_uniforms(master_seed, start // BLOCK_TRIALS, rows, T.n)
-        successes += int(hamiltonian_batch(T, words < _word_threshold(p)).sum())
-    return successes
 
 
 class TestQuotientVerdicts:

@@ -1,10 +1,14 @@
 import ast
 import dataclasses
+import inspect
 import pathlib
 import sys
 import types
 
+import pytest
+
 import tourneylab
+from tourneylab.errors import BadParams
 
 
 def test_all_lists_each_public_name_once():
@@ -53,3 +57,64 @@ def test_imports_are_the_package_the_standard_library_or_numpy():
                 found.add(node.module.split(".")[0])
     assert "numpy" in found
     assert found - {"tourneylab", "numpy"} <= sys.stdlib_module_names, found
+
+
+# The arguments, other than the tournament and its vertex sets, of every
+# public function that takes a Tournament and a VertexSubset or Partition.
+UNIVERSE_CALLS = {
+    "induced": {},
+    "hamiltonian_on_subset": {},
+    "evaluate_goodness": {"eps": 0.1},
+    "removal_sets": {"eps": 0.001},
+    "clean_to_good_partition": {"eps": 0.001},
+    "refine_partition": {"k": 1, "t": 1},
+    "k_connectors": {"k": 1},
+    "max_BA_matching": {},
+    "bad_events": {},
+    "hamiltonicity_from_no_bad_events": {},
+}
+
+
+def _vertex_set(kind: str, name: str, n: int):
+    """A Partition or VertexSubset over n vertices: the halves for A0 and
+    B0, so that they make a balanced cut, and the whole set otherwise."""
+    if kind == "Partition":
+        return tourneylab.Partition.from_members(n, range(n // 2), range(n // 2, n), [])
+    return tourneylab.VertexSubset(n, {"A0": range(n // 2), "B0": range(n // 2, n)}
+                                   .get(name, range(n)))
+
+
+def test_every_vertex_set_over_another_universe_is_rejected():
+    # hamiltonian_on_subset and removal_sets read such a set unchecked: an
+    # IndexError over a larger universe, a quiet answer over a smaller one
+    T = tourneylab.random_tournament(8, 3)
+    found = set()
+    for name in tourneylab.__all__:
+        fn = getattr(tourneylab, name)
+        if not isinstance(fn, types.FunctionType):
+            continue
+        params = inspect.signature(fn).parameters
+        kinds = {p: a.annotation for p, a in params.items()
+                 if a.annotation in ("VertexSubset", "Partition")}
+        if "Tournament" not in [a.annotation for a in params.values()] or not kinds:
+            continue
+        found.add(name)
+        assert name in UNIVERSE_CALLS, f"{name} takes a vertex set: add it to UNIVERSE_CALLS"
+        good = {p: _vertex_set(kind, p, T.n) for p, kind in kinds.items()}
+        fn(T, **good, **UNIVERSE_CALLS[name])  # over V(T), the call goes through
+        for wrong in kinds:
+            for m in (T.n - 2, T.n + 2):
+                args = {**good, wrong: _vertex_set(kinds[wrong], wrong, m)}
+                with pytest.raises(BadParams):
+                    fn(T, **args, **UNIVERSE_CALLS[name])
+    assert found == set(UNIVERSE_CALLS)
+
+
+def test_only_core_and_generators_build_trusted_tournaments():
+    # a trusted Tournament skips the invariant checks; elsewhere a kernel
+    # matrix is built from the array it needs, not from a throwaway Tournament
+    package = pathlib.Path(tourneylab.__file__).parent
+    users = {path.name for path in package.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.keyword) and node.arg == "_trusted"}
+    assert users == {"core.py", "generators.py"}

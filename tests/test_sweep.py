@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import kernel_count as per_p_count
 
 from tourneylab import (SamplePlan, estimate_hamiltonian_probability,
                         estimate_sweep, extremal_main, hamiltonian_batch,
@@ -12,20 +13,10 @@ from tourneylab import (SamplePlan, estimate_hamiltonian_probability,
 from tourneylab import Tournament, sampling
 from tourneylab.errors import BadParams
 from tourneylab.hamilton import _landau_strong
-from tourneylab.sampling import BLOCK_TRIALS, _block_uniforms, _word_threshold
+from tourneylab.sampling import BLOCK_TRIALS, _block_uniforms
 
 SWEEP_PS = [0.7, 0.05, 0.5, 0.5]  # unsorted, with a duplicate
 TRIALS = 5_000  # two full blocks and a partial one
-
-
-def per_p_count(T, p, trials, master_seed):
-    """The success count of a sweep that draws every block again per p."""
-    successes = 0
-    for start in range(0, trials, BLOCK_TRIALS):
-        rows = min(BLOCK_TRIALS, trials - start)
-        words = _block_uniforms(master_seed, start // BLOCK_TRIALS, rows, T.n)
-        successes += int(hamiltonian_batch(T, words < _word_threshold(p)).sum())
-    return successes
 
 
 class TestSweep:

@@ -4,21 +4,13 @@ the Gauss–Seidel sweep closure gave on the same inputs."""
 import numpy as np
 import pytest
 from conftest import brute_force_size_counts
+from conftest import path_tournament as long_path
 
-from tourneylab import (Tournament, VertexSubset, extremal_main, induced,
-                        is_hamiltonian, random_tournament)
+from tourneylab import (VertexSubset, extremal_main, induced, is_hamiltonian,
+                        random_tournament)
 from tourneylab.hamilton import reach_on_mask
 from tourneylab.sampling import (_closure, _strong_masks, _union_table,
                                  hamiltonian_subset_size_counts)
-
-
-def long_path(n: int) -> Tournament:
-    """i -> i+1, and j -> i for every j > i + 1: the strong subsets are the
-    runs of consecutive vertices, and a closure from a run's lowest member
-    takes one BFS level per vertex."""
-    adj = np.tril(np.ones((n, n), dtype=np.uint8), -2)
-    adj[np.arange(n - 1), np.arange(1, n)] = 1
-    return Tournament(adj)
 
 
 class TestUnionTable:
