@@ -6,8 +6,10 @@ Rows are also available as Python-int bitsets (one n-bit integer per
 vertex), on which the single-subset reachability searches run: an OR of
 neighborhood bitsets touches n/64 machine words. The bitsets are built
 from the matrix on each access, nothing is cached, and the in-bitsets come
-from the out-bitsets by complement: N-(v) = V - N+(v) - {v}. The exact
-counts sweep int32 numpy masks instead, and the estimator reads scores.
+from the out-bitsets by complement: N-(v) = V - N+(v) - {v}. The helpers
+that build and read these bitsets (mask_of, iter_bits, complement_rows,
+rows_to_masks) live here, and hamilton imports them. The exact counts
+sweep int32 numpy masks instead, and the estimator reads scores.
 
 Vertices are dense integers 0..n-1. A Tournament holds only its matrix,
 its order and its parent labels; VertexSubset is a frozen dataclass. Both
@@ -18,19 +20,46 @@ from __future__ import annotations
 
 import operator
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bits import complement_rows, iter_bits, mask_of, rows_to_masks
 from .errors import (DiagonalNonzero, PairViolation, SubsetOutOfRange, TooLarge,
-                     Trn1ParseError, check_integer)
+                     Trn1ParseError, check_integer, check_order)
 
 MAX_VERTICES = 1 << 16
 # Rows (or columns) per block of the passes that would otherwise hold an
 # n x n temporary: the invariant check and TRN1's row compaction.
 _BLOCK = 64
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """Bitset of vertex labels (bit v = vertex v)."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def complement_rows(out_rows: list[int]) -> list[int]:
+    """In-bitsets of a tournament from its out-bitsets: N-(v) = V - N+(v) - {v}."""
+    full = (1 << len(out_rows)) - 1
+    return [full ^ 1 << v ^ m for v, m in enumerate(out_rows)]
+
+
+def rows_to_masks(adj: np.ndarray) -> list[int]:
+    """Convert the rows of a 0/1 matrix to per-row bitsets (bit j = column j)."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 class Tournament:
@@ -98,9 +127,10 @@ class Tournament:
 
 
 def _check_entries(a: np.ndarray) -> None:
-    """Reject entries other than 0/1 before the uint8 cast can wrap them;
-    a uint8 matrix needs only its maximum, not an n x n temporary."""
-    if not (a.max() <= 1 if a.dtype == np.uint8 else np.isin(a, (0, 1)).all()):
+    """Reject entries other than 0/1 before the uint8 cast can wrap them,
+    in a matrix or in hamiltonian_batch's inclusion rows; a uint8 array
+    needs only its maximum, 0 when it is empty, not a full-size temporary."""
+    if not (a.max(initial=0) <= 1 if a.dtype == np.uint8 else np.isin(a, (0, 1)).all()):
         raise ValueError("matrix entries must be 0 or 1")
 
 
@@ -172,6 +202,7 @@ class VertexSubset:
     @classmethod
     def from_mask(cls, universe_n: int, mask: int) -> "VertexSubset":
         universe_n = check_integer("universe_n", universe_n, 0)
+        mask = check_integer("mask", mask)
         if mask < 0 or mask >> universe_n:
             raise SubsetOutOfRange(f"mask has bits outside universe {universe_n}")
         return cls(universe_n, iter_bits(mask))
@@ -281,8 +312,7 @@ def parse_trn1(text: str | bytes | bytearray) -> Tournament:
     n = int(digits or "0")
     if n < 1:
         raise Trn1ParseError(1, f"vertex count must be >= 1, got {n}")
-    if n > MAX_VERTICES:  # before any row work: the rows alone would be n^2 bytes
-        raise TooLarge(n, MAX_VERTICES)
+    check_order(n, MAX_VERTICES)  # before any row work: the rows alone would be n^2 bytes
     start = stop if end < 0 else stop + 1
     if len(buf) - start not in (n * (n + 1) - 1, n * (n + 1)):
         raise _trn1_error(buf, start, n, decode)

@@ -1,6 +1,6 @@
 """Exception taxonomy, which the CLI maps to distinct exit codes, and the
-input rules every module shares: check_integer, check_real and
-check_probability.
+input rules every module shares: check_integer, check_order, check_real
+and check_probability.
 
 SubsetOutOfRange is a BadParams. The CLI's exit codes are unchanged: it
 looks an error's code up along its MRO, which meets SubsetOutOfRange's
@@ -92,6 +92,13 @@ def check_integer(name: str, value, minimum: int | None = None,
     if maximum is not None and value > maximum:
         raise BadParams(f"{name} must be <= {maximum}, got {value}")
     return value
+
+
+def check_order(n: int, limit: int) -> None:
+    """Raise TooLarge(n, limit) when the order ``n`` exceeds the size cap
+    ``limit``: MAX_VERTICES, or an exhaustive operation's."""
+    if n > limit:
+        raise TooLarge(n, limit)
 
 
 def check_real(name: str, value) -> None:

@@ -17,20 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MAX_VERTICES, Tournament, semidegrees
-from .errors import BadParams, TooLarge, check_integer
-
-
-def _check_order(n: int) -> None:
-    """Raise TooLarge for an order past MAX_VERTICES, before any n x n array."""
-    if n > MAX_VERTICES:
-        raise TooLarge(n, MAX_VERTICES)
+from .errors import BadParams, check_integer, check_order
 
 
 def rotational_tournament(k: int) -> Tournament:
     """Circulant tournament on n = 2k+1 vertices: i -> j iff (j-i) mod n in 1..k."""
     k = check_integer("k", k, 1)
     n = 2 * k + 1
-    _check_order(n)
+    check_order(n, MAX_VERTICES)
     # vertex 0's row twice over: row i of the matrix is row[n - i:2n - i]
     row = np.zeros(2 * n, dtype=np.uint8)
     row[1:k + 1] = row[n + 1:n + k + 1] = 1
@@ -41,7 +35,7 @@ def rotational_tournament(k: int) -> Tournament:
 def transitive_tournament(n: int) -> Tournament:
     """i -> j iff i < j; the unique acyclic tournament up to isomorphism."""
     n = check_integer("n", n, 1)
-    _check_order(n)
+    check_order(n, MAX_VERTICES)
     # n zeros then n - 1 ones: row i of the matrix is step[n - 1 - i:2n - 1 - i]
     step = np.zeros(2 * n - 1, dtype=np.uint8)
     step[n:] = 1
@@ -53,7 +47,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     """Each pair oriented by an independent fair coin; same seed, same matrix."""
     n = check_integer("n", n, 1)
     seed = check_integer("seed", seed, 0)
-    _check_order(n)
+    check_order(n, MAX_VERTICES)
     rng = np.random.default_rng(seed)
     # one draw for all pairs, in row-major order over i < j: splitting it
     # would change numpy's buffered stream, and so the matrix
@@ -76,7 +70,7 @@ def near_regular_tournament(m: int) -> Tournament:
     the rest.
     """
     m = check_integer("m", m, 1)
-    _check_order(m)
+    check_order(m, MAX_VERTICES)
     if m <= 2:
         return transitive_tournament(m)
     if m % 2 == 1:
@@ -110,7 +104,7 @@ def extremal_theorem1_even(k: int) -> Tournament:
     induced subtournament meeting both halves is never strongly connected.
     """
     k = check_integer("k", k, 1)
-    _check_order(4 * k + 2)
+    check_order(4 * k + 2, MAX_VERTICES)
     half = rotational_tournament(k)
     return _blocks([half, half], [(0, 1)])
 
@@ -123,7 +117,7 @@ def extremal_theorem1_odd(k: int) -> Tournament:
     contains v.
     """
     k = check_integer("k", k, 1)
-    _check_order(4 * k + 3)
+    check_order(4 * k + 3, MAX_VERTICES)
     half = rotational_tournament(k)
     T = _blocks([half, half, transitive_tournament(1)], [(0, 1), (1, 2), (2, 0)])
     assert semidegrees(T).min_semidegree == k + 1
@@ -147,7 +141,7 @@ def extremal_main(n: int, t: int) -> Tournament:
     Every B -> A edge is absent.
     """
     ra, rb, rx = extremal_main_blocks(n, t)
-    _check_order(n)
+    check_order(n, MAX_VERTICES)
     parts = [near_regular_tournament(len(ra)), near_regular_tournament(len(rb)),
              transitive_tournament(len(rx))]
     return _blocks(parts, [(0, 1), (1, 2), (2, 0)])

@@ -36,9 +36,9 @@ from functools import cache
 
 import numpy as np
 
-from ._bits import complement_rows, iter_bits, rows_to_masks
-from .core import Tournament, VertexSubset, _check_universe
-from .errors import InvalidCertificate, TooLarge
+from .core import (Tournament, VertexSubset, _check_entries, _check_universe,
+                   complement_rows, iter_bits, rows_to_masks)
+from .errors import InvalidCertificate, check_order
 
 BRUTE_FORCE_MAX_N = 20
 _HK_CHUNK = 4096  # masks per Held–Karp gather; bounds its (chunk, n) temporaries
@@ -355,8 +355,7 @@ def brute_force_hamiltonian(T: Tournament) -> bool:
     distinct bits 2^v < 2^20, exactly.
     """
     n = T.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise TooLarge(n, BRUTE_FORCE_MAX_N)
+    check_order(n, BRUTE_FORCE_MAX_N)
     into_0, *into = T.in_masks
     if into_0 in (0, (1 << n) - 2):
         return False
@@ -384,9 +383,9 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
 
     ``inclusion`` is a (batch, n) matrix of 0/1 entries, boolean or
     numeric, as an array or nested lists; row r encodes subset S_r, and
-    any other entry raises
-    ValueError. Returns a boolean vector: T[S_r] Hamiltonian, with
-    |S| <= 2 counting as non-Hamiltonian.
+    any other entry raises Tournament's ValueError (core._check_entries).
+    Returns a boolean vector: T[S_r] Hamiltonian, with |S| <= 2 counting
+    as non-Hamiltonian.
 
     Kernel: one float32 product with M = adj^T - n*I gives each member v
     of S its score inside S minus n (in [-n, -1]) and each non-member its
@@ -414,8 +413,7 @@ def hamiltonian_batch(T: Tournament, inclusion: np.ndarray) -> np.ndarray:
     inclusion = np.asarray(inclusion)
     if inclusion.ndim != 2 or inclusion.shape[1] != T.n:
         raise ValueError(f"inclusion must be (batch, {T.n}), got {inclusion.shape}")
-    if ((inclusion != 0) & (inclusion != 1)).any():
-        raise ValueError("inclusion entries must be 0 or 1")
+    _check_entries(inclusion)
     return _landau_strong(inclusion.astype(np.float32) @ _shifted_adjacency(T.adj))
 
 

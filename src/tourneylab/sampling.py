@@ -38,7 +38,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import Tournament, VertexSubset
-from .errors import BadParams, TooLarge, check_integer, check_probability, check_real
+from .errors import BadParams, check_integer, check_order, check_probability, check_real
 from .hamilton import _landau_strong, _module_partition, _shifted_adjacency
 
 EXACT_MAX_N = 20
@@ -380,8 +380,7 @@ def _strong_masks(T: Tournament) -> Iterator[np.ndarray]:
     forward survivors.
     """
     n = T.n
-    if n > EXACT_MAX_N:
-        raise TooLarge(n, EXACT_MAX_N)
+    check_order(n, EXACT_MAX_N)
     # closed neighbourhoods from one read of the rows: N+[v] = N+(v) + {v},
     # and N-[v] = V - N+(v)
     out = T.out_masks

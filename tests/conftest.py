@@ -3,8 +3,9 @@
 These deliberately avoid the package's optimized code paths: matching by
 exhaustive recursion, reachability by plain per-vertex BFS over
 adjacency lists, the balanced cut by enumerating every split, the exact
-size counts by Held–Karp on every induced subtournament, so they can
-referee the fast implementations. The test inputs and the per-p score
+size counts by Held–Karp on every induced subtournament, and a
+non-Hamiltonian verdict by a dominating split, so they can referee the
+fast implementations. The test inputs and the per-p score
 kernel count that several modules share live here too.
 """
 
@@ -82,6 +83,15 @@ def strongly_connected_by_bfs(T: Tournament) -> bool:
     """Mutual reachability of every ordered pair, the slow way."""
     everyone = set(range(T.n))
     return all(bfs_reachable(T, v, everyone) == everyone for v in range(T.n))
+
+
+def splits(T: Tournament, S: VertexSubset, C) -> bool:
+    """True iff C is a nonempty proper subset of S and every vertex of C
+    beats every vertex of S - C, read from T.adj alone: the witness that
+    T[S] is not strong, so not Hamiltonian."""
+    inside, members = set(C), set(S.members)
+    rest = sorted(members - inside)
+    return bool(inside) and inside < members and bool(T.adj[np.ix_(sorted(inside), rest)].all())
 
 
 def tournament_from_bits(n: int, code: int) -> Tournament:

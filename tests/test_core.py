@@ -12,7 +12,7 @@ from tourneylab import (Tournament, VertexSubset, edge_count, format_trn1,
                         induced, parse_trn1, random_tournament, read_trn1,
                         rotational_tournament, semidegrees,
                         transitive_tournament, validate, write_trn1)
-from tourneylab._bits import rows_to_masks
+from tourneylab.core import rows_to_masks
 from tourneylab.core import _check_invariants
 from tourneylab.errors import (BadParams, DiagonalNonzero, PairViolation,
                                SubsetOutOfRange, TooLarge, TourneyLabError,
@@ -171,6 +171,18 @@ class TestVertexSubset:
     @pytest.mark.parametrize("mask", [1 << 8, -1])
     def test_from_mask_outside_universe(self, mask):
         with pytest.raises(SubsetOutOfRange):
+            VertexSubset.from_mask(8, mask)
+
+    @pytest.mark.parametrize("mask, members", [(np.uint8(3), (0, 1)), (np.int64(5), (0, 2))])
+    def test_from_mask_takes_numpy_integers(self, mask, members):
+        # both ended in AttributeError: a numpy integer has no bit_length
+        s = VertexSubset.from_mask(8, mask)
+        assert s.members == members and all(type(v) is int for v in s.members)
+
+    @pytest.mark.parametrize("mask", [True, 2.5, "1"])
+    def test_from_mask_must_be_an_integer(self, mask):
+        # True gave the subset {0}; 2.5 and "1" raised TypeError
+        with pytest.raises(BadParams, match="mask must be an integer"):
             VertexSubset.from_mask(8, mask)
 
     def test_contains_takes_any_integer(self):

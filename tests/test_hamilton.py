@@ -17,7 +17,7 @@ from tourneylab import (HamiltonCertificate, Tournament, VertexSubset,
                         random_tournament, rotational_tournament, scc,
                         strongly_connected, transitive_tournament)
 from tourneylab import core
-from tourneylab._bits import rows_to_masks
+from tourneylab.core import rows_to_masks
 from tourneylab.core import MAX_VERTICES
 from tourneylab.errors import InvalidCertificate, TooLarge
 from tourneylab.hamilton import (_HK_CHUNK, _odd_mask_layers, _prefix_dtype,
@@ -439,6 +439,16 @@ class TestBatchKernel:
                 hamiltonian_batch(T, bad)
         with pytest.raises(ValueError):
             hamiltonian_batch(transitive_tournament(6), np.full((3, 6), 2))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_entry_of_two_reads_as_in_a_matrix(self, dtype):
+        # one 0/1 rule serves the matrix and the inclusion rows
+        bad = np.array([[0, 1, 2], [0, 0, 1], [1, 0, 0]], dtype=dtype)
+        with pytest.raises(ValueError) as matrix:
+            Tournament(bad)
+        with pytest.raises(ValueError) as batch:
+            hamiltonian_batch(random_tournament(3, 1), bad)
+        assert str(batch.value) == str(matrix.value) == "matrix entries must be 0 or 1"
 
     def test_all_subsets_of_small_parents(self):
         # every one of the 2^n subsets, checked against both other routes

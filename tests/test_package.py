@@ -118,3 +118,23 @@ def test_only_core_and_generators_build_trusted_tournaments():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.keyword) and node.arg == "_trusted"}
     assert users == {"core.py", "generators.py"}
+
+
+def test_each_size_cap_is_checked_by_one_rule():
+    # an order past a cap raises TooLarge through errors.check_order; the
+    # one other TooLarge names a TRN1 count too wide to convert. The
+    # bitset helpers live in core, so no module imports _bits.
+    package = pathlib.Path(tourneylab.__file__).parent
+    built, imported = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                built += [(path.stem, node.name, ast.unparse(call.args[0]))
+                          for call in ast.walk(node) if isinstance(call, ast.Call)
+                          and isinstance(call.func, ast.Name) and call.func.id == "TooLarge"]
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {node.module or ""} | {alias.name for alias in node.names}
+    assert built == [("core", "parse_trn1", "f'a {len(digits)}-digit number'"),
+                     ("errors", "check_order", "n")]
+    assert "_bits" not in imported and not (package / "_bits.py").exists()

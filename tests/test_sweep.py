@@ -1,19 +1,22 @@
 """One Philox draw per block for a whole p sweep, and the batch kernel's
-edge batches: the sweep's counts equal a per-p draw's, bit for bit."""
+edge batches: the sweep's counts equal a per-p draw's, bit for bit, and
+the witnessed verdicts of a block's rows."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import kernel_count as per_p_count
+from conftest import splits
 
-from tourneylab import (SamplePlan, estimate_hamiltonian_probability,
-                        estimate_sweep, extremal_main, hamiltonian_batch,
-                        random_tournament, transitive_tournament)
+from tourneylab import (SamplePlan, VertexSubset, estimate_hamiltonian_probability,
+                        estimate_sweep, extremal_main, extremal_theorem1_odd,
+                        hamilton_cycle, hamiltonian_batch, induced,
+                        random_tournament, scc, transitive_tournament)
 from tourneylab import Tournament, sampling
 from tourneylab.errors import BadParams
 from tourneylab.hamilton import _landau_strong
-from tourneylab.sampling import BLOCK_TRIALS, _block_uniforms
+from tourneylab.sampling import BLOCK_TRIALS, _block_uniforms, _word_threshold
 
 SWEEP_PS = [0.7, 0.05, 0.5, 0.5]  # unsorted, with a duplicate
 TRIALS = 5_000  # two full blocks and a partial one
@@ -148,6 +151,11 @@ class TestBatchKernelEdges:
         got = hamiltonian_batch(random_tournament(10, 2), np.zeros((0, 10), dtype=bool))
         assert got.dtype == bool and got.shape == (0,)
 
+    def test_uint8_batch_of_no_rows(self):
+        # the uint8 entry check reads a maximum, which an empty array has not
+        got = hamiltonian_batch(random_tournament(5, 2), np.zeros((0, 5), dtype=np.uint8))
+        assert got.dtype == bool and got.shape == (0,)
+
     @pytest.mark.parametrize("n", [1, 2, 10])
     def test_all_empty_rows(self, n):
         got = hamiltonian_batch(random_tournament(n, 2), np.zeros((5, n), dtype=bool))
@@ -158,3 +166,38 @@ class TestBatchKernelEdges:
         inclusion = np.zeros((3, 6), dtype=bool)
         inclusion[0, 0] = inclusion[1, [1, 2]] = inclusion[2, [3, 5]] = True
         assert not hamiltonian_batch(transitive_tournament(6), inclusion).any()
+
+
+CERTIFIED_ROWS = 1024
+
+
+class TestTwoSidedCertificates:
+    @pytest.mark.parametrize("build, ps", [
+        (lambda: extremal_main(203, 1), (0.3, 0.5, 0.7)),
+        (lambda: extremal_main(203, 2), (0.3, 0.5, 0.7)),
+        (lambda: extremal_main(203, 3), (0.3, 0.5, 0.7)),
+        (lambda: extremal_theorem1_odd(49), (0.5,)),
+    ], ids=["main203-1", "main203-2", "main203-3", "theorem1-odd49"])
+    def test_every_verdict_is_witnessed(self, build, ps):
+        # at n ~ 200, past the exhaustive oracles' n <= 20, each of block
+        # 0's first rows proves its verdict: a Hamilton cycle whose edges
+        # check on T, or a part of S that beats the rest of S; the proven
+        # verdicts must then add up to the sweep's counts
+        T = build()
+        words = _block_uniforms(42, 0, CERTIFIED_ROWS, T.n)
+        yes = []
+        for p in ps:
+            yes.append(0)
+            for row in words < _word_threshold(p):
+                S = VertexSubset(T.n, np.flatnonzero(row))
+                sub = induced(T, S)
+                cycle = hamilton_cycle(sub)
+                if cycle is None:
+                    top = scc(sub).component_of
+                    assert splits(T, S, [v for v, c in zip(S.members, top) if c == 0])
+                else:
+                    order = np.array(cycle.translate(sub.parent_labels).order)
+                    assert len(order) >= 3 and sorted(order) == sorted(S.members)
+                    assert T.adj[order, np.roll(order, -1)].all()
+                    yes[-1] += 1
+        assert yes == [r.successes for r in estimate_sweep(T, ps, CERTIFIED_ROWS, 42)]
