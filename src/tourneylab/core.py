@@ -7,21 +7,22 @@ vertex), on which the single-subset reachability searches run: an OR of
 neighborhood bitsets touches n/64 machine words. The bitsets are built
 from the matrix on each access, nothing is cached, and the in-bitsets come
 from the out-bitsets by complement: N-(v) = V - N+(v) - {v}. The helpers
-that build and read these bitsets (mask_of, iter_bits, complement_rows,
+that build and read these bitsets (iter_bits, complement_rows,
 rows_to_masks) live here, and hamilton imports them. The exact counts
 sweep int32 numpy masks instead, and the estimator reads scores.
 
 Vertices are dense integers 0..n-1. A Tournament holds only its matrix,
-its order and its parent labels; VertexSubset is a frozen dataclass. Both
-are immutable after construction and safe to share across threads.
+its order and its parent labels; a VertexSubset, a frozen dataclass,
+holds only its universe and its members. Both are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +33,6 @@ MAX_VERTICES = 1 << 16
 # Rows (or columns) per block of the passes that would otherwise hold an
 # n x n temporary: the invariant check and TRN1's row compaction.
 _BLOCK = 64
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    """Bitset of vertex labels (bit v = vertex v)."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -175,16 +168,12 @@ def _vertex_labels(n: int, vertices) -> tuple[int, ...]:
     return labels
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class VertexSubset:
-    """Ordered, duplicate-free set of vertex labels inside a fixed universe.
-
-    ``mask`` is the members' bitset, derived once at construction; it
-    takes no part in the repr, equality or hash."""
+    """Ordered, duplicate-free set of vertex labels inside a fixed universe."""
 
     universe_n: int
     members: tuple[int, ...]
-    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = check_integer("universe_n", self.universe_n, 0)
@@ -193,7 +182,6 @@ class VertexSubset:
             raise ValueError("duplicate members in vertex subset")
         object.__setattr__(self, "universe_n", n)
         object.__setattr__(self, "members", mem)
-        object.__setattr__(self, "mask", mask_of(mem))
 
     @classmethod
     def full(cls, n: int) -> "VertexSubset":
@@ -212,8 +200,7 @@ class VertexSubset:
 
     def __contains__(self, v) -> bool:
         """Membership of a Python or numpy integer; False outside the universe."""
-        v = operator.index(v)
-        return 0 <= v < self.universe_n and bool(self.mask >> v & 1)
+        return operator.index(v) in self.members
 
     def __iter__(self):
         return iter(self.members)

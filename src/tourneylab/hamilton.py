@@ -37,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from .core import (Tournament, VertexSubset, _check_entries, _check_universe,
-                   complement_rows, iter_bits, rows_to_masks)
+                   complement_rows, induced, iter_bits, rows_to_masks)
 from .errors import InvalidCertificate, check_order
 
 BRUTE_FORCE_MAX_N = 20
@@ -235,11 +235,10 @@ def _maximal_modules(T: Tournament) -> np.ndarray:
     while work:
         part, pivots = work.pop()
         keys = np.packbits(adj[np.ix_(part, pivots)], axis=1)
-        _, key_of = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
-                              return_inverse=True)
-        order = np.argsort(key_of, kind="stable")
-        cuts = [0, *(np.flatnonzero(np.diff(key_of[order])) + 1).tolist(), len(part)]
-        part = part[order]
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys, part = keys[order], part[order]
+        cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(part)]
         for lo, hi in zip(cuts, cuts[1:]):
             if hi - lo == 1 or len(cuts) == 2:  # a single vertex, or a part no pivot splits
                 labels[part[lo:hi]] = count
@@ -451,9 +450,7 @@ def _landau_strong(product: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_on_subset(T: Tournament, S: VertexSubset) -> bool:
-    """is_hamiltonian(T[S]) without materializing the induced tournament."""
+    """is_hamiltonian(T[S]), decided on T[S]: building it costs |S|^2,
+    where T's bitsets cost n^2."""
     _check_universe(T, S)
-    if len(S) < 3:
-        return False
-    out = T.out_masks
-    return strong_on_mask(out, complement_rows(out), S.mask)
+    return len(S) >= 3 and is_hamiltonian(induced(T, S))

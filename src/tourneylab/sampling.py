@@ -429,8 +429,12 @@ def uniform_subset_probability(T: Tournament) -> float:
 
 
 def theoretical_bound(n: int, t: int, p: float) -> BoundSpec:
-    """The closed-form probability target for tournaments with the requisite
-    minimum semidegree; exponent improves to t+1 when n - t = 1 mod 4."""
+    """The closed-form probability target 1 - (1 - p)^t; the exponent
+    improves to t+1 when n - t = 1 mod 4.
+
+    The bound is a function of (n, t, p) alone and reads no tournament:
+    run_sweep passes T's order and the config's t, whatever T is, so a
+    negative gap in a sweep report is not sampling error."""
     n = check_integer("n", n, 1)
     t = check_integer("t", t, 1)
     check_probability(p)

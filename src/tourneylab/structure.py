@@ -22,12 +22,12 @@ from math import ceil, inf, log, log1p, sqrt
 
 import numpy as np
 
-from .core import Tournament, VertexSubset, _check_universe
+from .core import Tournament, VertexSubset, _check_universe, induced
 from .errors import BadParams, EmptyPart, check_integer, check_probability
-from .hamilton import _top_scorers, hamiltonian_on_subset, reach_on_mask
+from .hamilton import _top_scorers, hamiltonian_on_subset, scc
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class Partition:
     """Disjoint cover V(T) = A + B + X."""
 
@@ -39,9 +39,12 @@ class Partition:
         A, B, X = self.A, self.B, self.X
         if not (A.universe_n == B.universe_n == X.universe_n):
             raise BadParams("partition parts live in different universes")
-        if A.mask & B.mask or A.mask & X.mask or B.mask & X.mask:
+        # each part is duplicate-free, so a count above 1 is an overlap
+        counts = np.bincount(np.array(A.members + B.members + X.members, dtype=np.intp),
+                             minlength=A.universe_n)
+        if counts.max(initial=0) > 1:
             raise BadParams("partition parts are not disjoint")
-        if A.mask | B.mask | X.mask != (1 << A.universe_n) - 1:
+        if not counts.all():
             raise BadParams("partition parts do not cover the vertex set")
 
     @classmethod
@@ -350,28 +353,33 @@ def bad_events(T: Tournament, P: Partition, S: VertexSubset) -> BadEventFlags:
     T[A&S], T[B&S], or T[S]. b3/b4: one direction between the sampled
     halves is unreachable inside T[S]. Raises EmptyPart when S misses A
     or B entirely (the path events presuppose both ends exist).
+
+    Each question is asked of U = T[S]. Its components are numbered
+    source-first and each beats every later one (scc), so the vertices
+    reachable from a set are those of the components from its lowest on:
+    A&S reaches no vertex of B&S iff every B&S component comes before
+    every A&S component.
     """
     _check_universe(T, P, "partition")
     _check_universe(T, S, "sample")
-    s_mask = S.mask
-    sa_mask = s_mask & P.A.mask
-    sb_mask = s_mask & P.B.mask
-    if sa_mask == 0 or sb_mask == 0:
+    side = np.empty(T.n, dtype=np.int8)
+    for label, part in enumerate((P.A, P.B, P.X)):
+        side[list(part.members)] = label
+    labels = side[list(S.members)]  # 0, 1, 2 for A, B, X at each position of S
+    sa, sb = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    if not (sa.size and sb.size):
         raise EmptyPart("sample misses part A or part B")
-    s_size = len(S)
-    sx_size = (s_mask & P.X.mask).bit_count()
-    b1 = 5 * sx_size >= s_size
+    b1 = 5 * (len(S) - sa.size - sb.size) >= len(S)
 
-    sa = [v for v in S.members if sa_mask >> v & 1]
-    sb = [v for v in S.members if sb_mask >> v & 1]
-    b2 = (10 * _min_semidegree(*_in_from(T, sa)) < 3 * len(sa)
-          or 10 * _min_semidegree(*_in_from(T, sb)) < 3 * len(sb)
-          or 5 * _min_semidegree(*_in_from(T, S.members)) < s_size)
+    U = induced(T, S)
+    b2 = (10 * _min_semidegree(*_in_from(U, sa)) < 3 * len(sa)
+          or 10 * _min_semidegree(*_in_from(U, sb)) < 3 * len(sb)
+          or 5 * _min_semidegree(*_in_from(U, range(U.n))) < U.n)
 
-    out = T.out_masks
-    b3 = reach_on_mask(out, s_mask, sa_mask) & sb_mask == 0
-    b4 = reach_on_mask(out, s_mask, sb_mask) & sa_mask == 0
-    return BadEventFlags(b1=b1, b2=b2, b3=b3, b4=b4)
+    component = np.array(scc(U).component_of)
+    b3 = component[sb].max() < component[sa].min()
+    b4 = component[sa].max() < component[sb].min()
+    return BadEventFlags(b1=b1, b2=b2, b3=bool(b3), b4=bool(b4))
 
 
 def hamiltonicity_from_no_bad_events(T: Tournament, P: Partition, S: VertexSubset) -> bool:

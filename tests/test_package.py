@@ -138,3 +138,24 @@ def test_each_size_cap_is_checked_by_one_rule():
     assert built == [("core", "parse_trn1", "f'a {len(digits)}-digit number'"),
                      ("errors", "check_order", "n")]
     assert "_bits" not in imported and not (package / "_bits.py").exists()
+
+
+def test_no_dataclass_stores_a_derived_value():
+    # a field(init=False) is set from the other fields at construction, a
+    # second copy of them paid for by every instance; VertexSubset's mask
+    # was one, built at O(|S| n) cost whether or not it was read
+    package = pathlib.Path(tourneylab.__file__).parent
+    derived = [(path.stem, node.lineno) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call)
+               and ast.unparse(node.func) in ("field", "dataclasses.field")
+               and any(k.arg == "init" for k in node.keywords)]
+    assert derived == []
+
+
+def test_bad_events_read_the_induced_tournament():
+    # a reachability search over T's bitsets rebuilt all n of them per sample
+    source = (pathlib.Path(tourneylab.__file__).parent / "structure.py").read_text(encoding="utf-8")
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "reach_on_mask" not in imported and "scc" in imported

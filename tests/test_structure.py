@@ -58,9 +58,10 @@ class TestPartition:
         assert P != Partition.from_members(6, [2, 0], [1, 3], [4, 5])
         assert repr(P) == "Partition(|A|=2, |B|=2, |X|=2)"
 
-    @pytest.mark.parametrize("part", ["A", "B", "X"])
+    @pytest.mark.parametrize("part", ["A", "B", "X", "size"])
     def test_parts_cannot_be_assigned(self, part):
-        # assignment skipped the disjoint-cover check
+        # assignment skipped the disjoint-cover check; a name that is not
+        # a field raised TypeError from slots' __setattr__
         P = Partition.from_members(4, [0], [1, 2], [3])
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(P, part, VertexSubset(4, []))
@@ -482,15 +483,33 @@ class TestBadEvents:
         assert flags.b4 and not flags.b3
 
     def test_reachability_flags_match_bfs_recount(self):
+        # b3/b4 against a BFS inside T[S], b1/b2 against member counts and
+        # semidegrees counted edge by edge; the extremal families with fresh
+        # random labels per sample, and small samples, make b3 and b4 common
         rng = np.random.default_rng(6)
-        T = random_tournament(26, seed=3)
-        P = Partition.from_members(26, range(11), range(11, 22), range(22, 26))
-        checked = 0
-        for _ in range(60):
-            S = sample_subset(26, 0.5, rng)
+        random_input = (random_tournament(26, seed=3),
+                        Partition.from_members(26, range(11), range(11, 22), range(22, 26)))
+        samples = [(*random_input, 0.5)] * 60
+        for T in (extremal_theorem1_even(4), extremal_theorem1_odd(4), extremal_main(23, 2)):
+            for p in (0.1, 0.2, 0.4):
+                for _ in range(120):
+                    label = rng.integers(0, 3, T.n)
+                    P = Partition.from_members(T.n, *(np.flatnonzero(label == k).tolist()
+                                                      for k in range(3)))
+                    samples.append((T, P, p))
+
+        def semidegree(T, W):
+            return min((min(sum(T.edge(v, w) for w in W), sum(T.edge(w, v) for w in W))
+                        for v in W), default=0)
+
+        checked = positives_b3 = positives_b4 = 0
+        for T, P, p in samples:
+            S = sample_subset(T.n, p, rng)
             sa = [v for v in S.members if v in P.A]
             sb = [v for v in S.members if v in P.B]
             if not sa or not sb:
+                with pytest.raises(EmptyPart):
+                    bad_events(T, P, S)
                 continue
             checked += 1
             flags = bad_events(T, P, S)
@@ -499,7 +518,14 @@ class TestBadEvents:
             reach_b = set().union(*(bfs_reachable(T, b, allowed) for b in sb))
             assert flags.b3 == (not reach_a & set(sb))
             assert flags.b4 == (not reach_b & set(sa))
-        assert checked >= 40
+            assert flags.b1 == (5 * (len(S) - len(sa) - len(sb)) >= len(S))
+            assert flags.b2 == (10 * semidegree(T, sa) < 3 * len(sa)
+                                or 10 * semidegree(T, sb) < 3 * len(sb)
+                                or 5 * semidegree(T, S.members) < len(S))
+            positives_b3 += flags.b3
+            positives_b4 += flags.b4
+        assert checked >= 400 and positives_b3 >= 50 and positives_b4 >= 50, \
+            (checked, positives_b3, positives_b4)
 
 
 class TestClaimImplication:
