@@ -2,14 +2,10 @@
 
 A tournament on n vertices is stored as a dense n x n uint8 orientation
 matrix with adj[i][j] = 1 iff the edge between i and j points i -> j.
-Rows are also available as Python-int bitsets (one n-bit integer per
-vertex), on which the single-subset reachability searches run: an OR of
-neighborhood bitsets touches n/64 machine words. The bitsets are built
-from the matrix on each access, nothing is cached, and the in-bitsets come
-from the out-bitsets by complement: N-(v) = V - N+(v) - {v}. The helpers
-that build and read these bitsets (iter_bits, complement_rows,
-rows_to_masks) live here, and hamilton imports them. The exact counts
-sweep int32 numpy masks instead, and the estimator reads scores.
+A Tournament has no bitset attribute: each search that reads Python-int
+bitsets (hamilton's BFS, Held–Karp and module partition, and sampling's
+exact counts) builds them with one rows_to_masks call, from the helpers
+here (rows_to_masks, complement_rows, iter_bits).
 
 Vertices are dense integers 0..n-1. A Tournament holds only its matrix,
 its order and its parent labels; a VertexSubset, a frozen dataclass,
@@ -87,16 +83,6 @@ class Tournament:
         self.n = n
         self.adj = a
         self.parent_labels = parent_labels
-
-    @property
-    def out_masks(self) -> list[int]:
-        """Per-vertex bitset of out-neighbors N+(v), built on each access."""
-        return rows_to_masks(self.adj)
-
-    @property
-    def in_masks(self) -> list[int]:
-        """Per-vertex bitset of in-neighbors N-(v) = V - N+(v) - {v}."""
-        return complement_rows(self.out_masks)
 
     def edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
@@ -246,7 +232,7 @@ def induced(T: Tournament, S: VertexSubset) -> Tournament:
     """
     _check_universe(T, S)
     idx = np.fromiter(S.members, dtype=np.intp, count=len(S.members))
-    sub = T.adj[np.ix_(idx, idx)]
+    sub = T.adj[idx][:, idx]  # two plain gathers are several times faster than np.ix_
     return Tournament(sub, parent_labels=S.members, _trusted=True)
 
 
@@ -368,4 +354,4 @@ def edge_count(T: Tournament, frm: Sequence[int], to: Sequence[int]) -> int:
     Both lists are read as VertexSubset reads its members."""
     a = np.array(_vertex_labels(T.n, frm), dtype=np.intp)
     b = np.array(_vertex_labels(T.n, to), dtype=np.intp)
-    return int(T.adj[np.ix_(a, b)].sum(dtype=np.int64))
+    return int(T.adj[a][:, b].sum(dtype=np.int64))

@@ -110,22 +110,13 @@ def reach_on_mask(rows: list[int], mask: int, start_mask: int) -> int:
     return reached
 
 
-def strong_on_mask(out_rows: list[int], in_rows: list[int], mask: int) -> bool:
-    """Is the sub-digraph induced on the ``mask`` vertices strongly connected?
-
-    Strong connectivity holds iff every vertex is reachable from one fixed
-    vertex and that vertex is reachable from every vertex, hence one
-    forward and one backward BFS suffice. Empty masks count as strong.
-    """
-    start = mask & -mask
-    if reach_on_mask(out_rows, mask, start) != mask:
-        return False
-    return reach_on_mask(in_rows, mask, start) == mask
-
-
 def strongly_connected(T: Tournament) -> bool:
-    out = T.out_masks
-    return strong_on_mask(out, complement_rows(out), (1 << T.n) - 1)
+    """T is strong iff every vertex is reachable from vertex 0 and vertex 0
+    from every vertex: one forward and one backward BFS, the backward one
+    on the in-bitsets N-(v) = V - N+(v) - {v} of the same read of the rows."""
+    out, full = rows_to_masks(T.adj), (1 << T.n) - 1
+    return (reach_on_mask(out, full, 1) == full
+            and reach_on_mask(complement_rows(out), full, 1) == full)
 
 
 def is_hamiltonian(T: Tournament) -> bool:
@@ -355,7 +346,7 @@ def brute_force_hamiltonian(T: Tournament) -> bool:
     """
     n = T.n
     check_order(n, BRUTE_FORCE_MAX_N)
-    into_0, *into = T.in_masks
+    into_0, *into = complement_rows(rows_to_masks(T.adj))
     if into_0 in (0, (1 << n) - 2):
         return False
     into = np.array(into, dtype=np.int32)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import Tournament, VertexSubset
+from .core import Tournament, VertexSubset, rows_to_masks
 from .errors import BadParams, check_integer, check_order, check_probability, check_real
 from .hamilton import _landau_strong, _module_partition, _shifted_adjacency
 
@@ -383,7 +383,7 @@ def _strong_masks(T: Tournament) -> Iterator[np.ndarray]:
     check_order(n, EXACT_MAX_N)
     # closed neighbourhoods from one read of the rows: N+[v] = N+(v) + {v},
     # and N-[v] = V - N+(v)
-    out = T.out_masks
+    out = rows_to_masks(T.adj)
     out_table = _union_table([row | 1 << v for v, row in enumerate(out)])
     in_table = _union_table([(1 << n) - 1 ^ row for row in out])
     for start in range(0, 1 << n, CLOSURE_CHUNK):

@@ -12,7 +12,7 @@ from tourneylab import (Tournament, VertexSubset, edge_count, format_trn1,
                         induced, parse_trn1, random_tournament, read_trn1,
                         rotational_tournament, semidegrees,
                         transitive_tournament, validate, write_trn1)
-from tourneylab.core import rows_to_masks
+from tourneylab.core import complement_rows, rows_to_masks
 from tourneylab.core import _check_invariants
 from tourneylab.errors import (BadParams, DiagonalNonzero, PairViolation,
                                SubsetOutOfRange, TooLarge, TourneyLabError,
@@ -77,6 +77,14 @@ class TestValidate:
                 Tournament(a)
             with pytest.raises(ValueError, match="0 or 1"):
                 validate(a)
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        T = rotational_tournament(2)
+        assert T != "x"
+        assert T.__eq__(5) is NotImplemented
+
+    def test_repr_gives_the_order(self):
+        assert repr(rotational_tournament(2)) == "Tournament(n=5)"
 
     @settings(max_examples=60, deadline=None)
     @given(tournaments())
@@ -477,13 +485,14 @@ class TestTrn1Memory:
 
 
 def test_tournament_holds_only_its_matrix():
-    # the bitsets were cached in two extra slots, filled on first access
+    # the bitsets were cached in two extra slots, then rebuilt by two
+    # properties on each access; each search now builds its own
     assert Tournament.__slots__ == ("n", "adj", "parent_labels")
     T = random_tournament(9, seed=1)
-    assert T.out_masks == T.out_masks and T.out_masks is not T.out_masks
+    assert not hasattr(T, "out_masks") and not hasattr(T, "in_masks")
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 65, 200])
 def test_in_masks_are_the_columns(n):
     T = random_tournament(n, seed=n)
-    assert T.in_masks == rows_to_masks(T.adj.T)
+    assert complement_rows(rows_to_masks(T.adj)) == rows_to_masks(T.adj.T)

@@ -16,12 +16,11 @@ from tourneylab import (HamiltonCertificate, Tournament, VertexSubset,
                         is_hamiltonian, is_valid_certificate,
                         random_tournament, rotational_tournament, scc,
                         strongly_connected, transitive_tournament)
-from tourneylab import core
+from tourneylab import core, hamilton
 from tourneylab.core import rows_to_masks
 from tourneylab.core import MAX_VERTICES
 from tourneylab.errors import InvalidCertificate, TooLarge
-from tourneylab.hamilton import (_HK_CHUNK, _odd_mask_layers, _prefix_dtype,
-                                 strong_on_mask)
+from tourneylab.hamilton import _HK_CHUNK, _odd_mask_layers, _prefix_dtype
 
 
 def strong_tournaments(max_n=11):
@@ -93,9 +92,6 @@ class TestIsHamiltonian:
     def test_triangle(self, triangle):
         assert is_hamiltonian(triangle)
 
-    def test_empty_mask_is_strong(self, triangle):
-        assert strong_on_mask(triangle.out_masks, triangle.in_masks, 0)
-
     def test_tiny_never_hamiltonian(self):
         assert not is_hamiltonian(transitive_tournament(1))
         assert not is_hamiltonian(transitive_tournament(2))
@@ -130,6 +126,7 @@ class TestIsHamiltonian:
             return rows_to_masks(adj)
 
         monkeypatch.setattr(core, "rows_to_masks", counting)
+        monkeypatch.setattr(hamilton, "rows_to_masks", counting)
         T = random_tournament(30, 4)
         for decide, shape in ((lambda: strongly_connected(T), (30, 30)),
                               (lambda: is_hamiltonian(T), (30, 30)),
@@ -342,6 +339,11 @@ class TestCertificates:
     def test_not_a_permutation(self, triangle):
         assert not is_valid_certificate(triangle, HamiltonCertificate((0, 1, 1)))
         assert not is_valid_certificate(triangle, HamiltonCertificate((0, 1)))
+
+    def test_valid_cycles_pass(self, triangle):
+        assert is_valid_certificate(triangle, HamiltonCertificate((0, 1, 2)))
+        T = rotational_tournament(3)
+        assert is_valid_certificate(T, hamilton_cycle(T))
 
     def test_translate_through_induced(self):
         T = random_tournament(12, seed=9)

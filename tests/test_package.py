@@ -159,3 +159,22 @@ def test_bad_events_read_the_induced_tournament():
     imported = {alias.name for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "reach_on_mask" not in imported and "scc" in imported
+
+
+def test_tournament_holds_no_bitset_and_no_subset_mask_search_remains():
+    # Tournament's out_masks and in_masks properties rebuilt all n bitsets on
+    # every read; each search now calls rows_to_masks itself. The subset-mask
+    # strong test had one caller left, with the full mask.
+    package = pathlib.Path(tourneylab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    tournament, = [node for node in ast.walk(trees["core"])
+                   if isinstance(node, ast.ClassDef) and node.name == "Tournament"]
+    assert [ast.unparse(d) for node in tournament.body if isinstance(node, ast.FunctionDef)
+            for d in node.decorator_list if "property" in ast.unparse(d)] == []
+    read = [(stem, node.lineno) for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("out_masks", "in_masks")]
+    assert read == []
+    defined = [stem for stem, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "strong_on_mask"]
+    assert defined == []

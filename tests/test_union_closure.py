@@ -8,6 +8,7 @@ from conftest import path_tournament as long_path
 
 from tourneylab import (VertexSubset, extremal_main, induced, is_hamiltonian,
                         random_tournament)
+from tourneylab.core import rows_to_masks
 from tourneylab.hamilton import reach_on_mask
 from tourneylab.sampling import (_closure, _strong_masks, _union_table,
                                  hamiltonian_subset_size_counts)
@@ -42,7 +43,8 @@ class TestClosure:
     def test_every_mask_matches_bitset_bfs(self, name, direction):
         # the closed-neighbourhood table _strong_masks builds, against the
         # per-mask BFS over the open rows
-        rows = getattr(CLOSURE_CASES[name](), direction)
+        adj = CLOSURE_CASES[name]().adj
+        rows = rows_to_masks(adj if direction == "out_masks" else adj.T)
         table = _union_table([row | 1 << v for v, row in enumerate(rows)])
         masks = np.arange(1 << len(rows), dtype=np.int32)
         expected = [reach_on_mask(rows, m, m & -m) for m in range(1 << len(rows))]
