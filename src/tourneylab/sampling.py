@@ -176,38 +176,63 @@ class _Quotient:
     hamilton._module_partition). ``order`` lists the vertices part by
     part, and part b starts at ``starts[b]`` in it; ``order`` is None when
     that list is 0..n-1. ``shifted`` is Q's shifted matrix, whose vertex b
-    is part b's lowest vertex. ``inner`` holds (b, start, stop, shifted
-    matrix of T[b]) for each part b of 3 or more vertices, which are
-    order[start:stop]. With all parts singletons, Q is T and ``starts`` is
-    None."""
+    is part b's lowest vertex. ``table`` holds the score kernel's verdict
+    on Q restricted to every subset of its parts, indexed by the subset's
+    bitmask (bit b for part b), when Q has at most _TABLE_MAX_PARTS parts,
+    and is None otherwise. ``inner`` holds (b, members, shifted matrix of
+    T[b]) for each part b of 3 or more vertices. With all parts
+    singletons, Q is T and ``starts`` is None."""
 
     order: np.ndarray | None
     starts: np.ndarray | None
     shifted: np.ndarray
-    inner: tuple[tuple[int, int, int, np.ndarray], ...]
+    table: np.ndarray | None
+    inner: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+# Q's verdicts are looked up in a table of 2^k entries up to this many
+# parts; past it, the kernel and absorption decide each level.
+_TABLE_MAX_PARTS = 12
 
 
 def _quotient(T: Tournament) -> _Quotient:
-    """T's module quotient and its parts' sub-tournaments, built once per sweep."""
+    """T's module quotient, its verdict table and its parts'
+    sub-tournaments, built once per sweep."""
     labels = _module_partition(T)
     if labels[-1] == T.n - 1:  # parts are numbered by their lowest vertex
-        return _Quotient(None, None, _shifted_adjacency(T.adj), ())
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    inner = tuple((b, start, start + len(v), _shifted_adjacency(T.adj[np.ix_(v, v)]))
-                  for b, (start, v) in enumerate(zip(starts.tolist(), np.split(order, starts[1:])))
-                  if len(v) >= 3)
-    Q = T.adj[np.ix_(order[starts], order[starts])]  # vertex b is part b's lowest vertex
-    grouped = bool(np.all(labels[1:] >= labels[:-1]))
-    return _Quotient(None if grouped else order, starts, _shifted_adjacency(Q), inner)
+        order, starts, Q, inner = None, None, T.adj, ()
+    else:
+        order = np.argsort(labels, kind="stable")
+        starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+        inner = tuple((b, v, _shifted_adjacency(T.adj[np.ix_(v, v)]))
+                      for b, v in enumerate(np.split(order, starts[1:])) if len(v) >= 3)
+        Q = T.adj[np.ix_(order[starts], order[starts])]  # vertex b is part b's lowest vertex
+        if np.all(labels[1:] >= labels[:-1]):
+            order = None
+    shifted = _shifted_adjacency(Q)
+    k = len(Q)
+    table = None
+    if k <= _TABLE_MAX_PARTS:
+        subsets = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+        table = _landau_strong(subsets.astype(np.float32) @ shifted)
+    return _Quotient(order, starts, shifted, table, inner)
 
 
-def _block_verdicts(level: np.ndarray, last: int, quotient: _Quotient) -> np.ndarray:
+def _block_verdicts(words: np.ndarray, distinct: np.ndarray, quotient: _Quotient) -> np.ndarray:
     """verdicts[j, r]: T[S] Hamiltonian for the subset S of block row r's
-    vertices of level at most j (see estimate_sweep).
+    vertices whose words are below distinct[j], the sweep's j-th smallest
+    threshold (see estimate_sweep).
 
-    A part's level is the lowest of its vertices', so the subset of parts
-    a row meets grows with j as S does. The levels run in ascending order
+    A row meets a part iff the part's lowest word is below the threshold,
+    so only the k parts of Q are leveled: a part's level is the number of
+    thresholds at or below its lowest word, and the row meets it at index
+    j iff that level is at most j. The subset S'_j of parts a row meets
+    grows with j as S does. A row that meets two or more parts is strong
+    iff Q on them is; a row inside one part b of 3 or more vertices is
+    decided by the kernel on T[b], from b's member words.
+
+    With a ``table`` (k <= _TABLE_MAX_PARTS), Q's verdict on S'_j is read
+    from it by S'_j's bitmask. Otherwise the levels run in ascending order
     on Q. If Q[S'_b] is strong and every part of S'_j ∖ S'_b has an in-
     and an out-neighbour in S'_b, then Q[S'_j] is strong (absorption, as
     in Camion's cycle growth), so the score kernel runs at level j only on
@@ -216,24 +241,52 @@ def _block_verdicts(level: np.ndarray, last: int, quotient: _Quotient) -> np.nda
     by S'_b, one with no in- or no out-neighbour in S'_b; in the kernel's
     product a non-member's entry is its out-degree into S'_b, so it is
     blocked iff that entry is 0 or |S'_b|. The last level computes no
-    blocked parts. A row that meets two or more parts is strong iff Q on
-    them is; a row inside one part b is decided by the kernel on T[b], and
-    it is never absorbed at the next level.
+    blocked parts. A row inside one part is never absorbed at the next
+    level.
     """
-    rows = len(level)
+    last = len(distinct) - 1
     if quotient.starts is None:
-        grouped = part_level = level
+        lowest = words
     else:
-        grouped = level if quotient.order is None else level[:, quotient.order]
-        part_level = np.minimum.reduceat(grouped, quotient.starts, axis=1)
-    k = part_level.shape[1]
+        # take() keeps rows contiguous, where words[:, order] would lay the
+        # gather out column by column and slow reduceat's row scans 4-fold
+        grouped = words if quotient.order is None else words.take(quotient.order, axis=1)
+        lowest = np.minimum.reduceat(grouped, quotient.starts, axis=1)
+        del grouped
+    level = np.zeros(lowest.shape, dtype=np.min_scalar_type(len(distinct)))
+    for threshold in distinct:
+        level += lowest >= threshold
+    del lowest
+    if not quotient.inner:
+        # No row needs a member's word: the words are freed before the
+        # kernel allocates, since holding them too lifts a block's heap
+        # peak past the C allocator's trim threshold, and each block then
+        # faults its pages in afresh.
+        del words
+    rows, k = level.shape
     verdicts = np.ones((last + 1, rows), dtype=bool)
+
+    def decide_inside(j: int, hit: np.ndarray, members: np.ndarray, shifted: np.ndarray) -> None:
+        # block rows ``hit`` meet one part at level j, whose members are given
+        inside = words[np.ix_(hit, members)] < distinct[j]
+        verdicts[j, hit] = _landau_strong(inside.astype(np.float32) @ shifted)
+
+    if quotient.table is not None:
+        bits = 1 << np.arange(k, dtype=np.uint16)
+        for j in range(last + 1):
+            mask = (level <= j) @ bits
+            verdicts[j] = quotient.table[mask]
+            for b, members, shifted in quotient.inner:
+                hit = np.flatnonzero(mask == 1 << b)
+                if len(hit):
+                    decide_inside(j, hit, members, shifted)
+        return verdicts
     # Row r is Hamiltonian at every level below reach[r] by absorption
     # into its last kernel-checked subset; 0 while that is not strong.
     reach = np.zeros(rows, dtype=level.dtype)
     for j in range(last + 1):
         redo = reach <= j
-        row_level = part_level[redo] if j else part_level  # all rows at the first level
+        row_level = level[redo] if j else level  # all rows at the first level
         product = (row_level <= j).astype(np.float32) @ quotient.shifted
         if j < last:
             # out-degree 0 or |S'| into S': no out- or no in-neighbour
@@ -245,15 +298,14 @@ def _block_verdicts(level: np.ndarray, last: int, quotient: _Quotient) -> np.nda
         strong = _landau_strong(product)
         if j < last:
             reach[redo] = np.where(strong, first_blocked, 0)
+        verdicts[j, redo] = strong
         if len(alone):
             part = row_level[alone].argmin(axis=1)
             block_rows = np.flatnonzero(redo)[alone]
-            for b, start, stop, shifted in quotient.inner:
-                hit = part == b
-                if hit.any():
-                    members = grouped[block_rows[hit], start:stop] <= j
-                    strong[alone[hit]] = _landau_strong(members.astype(np.float32) @ shifted)
-        verdicts[j, redo] = strong
+            for b, members, shifted in quotient.inner:
+                hit = block_rows[part == b]
+                if len(hit):
+                    decide_inside(j, hit, members, shifted)
     return verdicts
 
 
@@ -275,20 +327,23 @@ def estimate_sweep(
     the same integer sum over every block in any order.
 
     A block's words do not depend on p, so each block is drawn once for
-    the whole sweep. Its words are reduced to one small-integer ``level``
-    per vertex, the number of the sweep's distinct thresholds the word
-    reaches; with those thresholds ascending, the word is below the one at
-    index j iff its level is at most j, so block memory does not grow with
-    the number of p. Every report's wall_time is the whole sweep's.
+    the whole sweep. Each row's words are reduced to one small-integer
+    ``level`` per part of the module quotient below: the number of the
+    sweep's distinct thresholds the part's lowest word reaches. With those
+    thresholds ascending, the row meets the part at index j iff its level
+    is at most j, so block memory does not grow with the number of p.
+    Every report's wall_time is the whole sweep's.
 
     The kernel runs on the module quotient Q of T, one vertex per part of
     hamilton._module_partition: T[S] is strong iff Q is strong on the
     parts S meets, when it meets two or more, and iff T[b] is strong on S
     when S lies inside part b. On the main family Q has 3 vertices in
-    place of n, and with no nontrivial module Q is T. _block_verdicts gives
-    the rows each level decides by absorption without the kernel; every
-    count is still the kernel's own on T, and a one-p estimate runs the
-    kernel once on every row.
+    place of n, and with no nontrivial module Q is T. With at most
+    _TABLE_MAX_PARTS parts, Q's verdicts are looked up in a table of the
+    kernel's verdicts on every subset of its parts, built once per sweep;
+    with more, _block_verdicts gives the rows each level decides by
+    absorption without the kernel, and a one-p estimate runs the kernel
+    once on every row. Every count is still the kernel's own on T.
     """
     plans = [SamplePlan(p=p, trials=trials, master_seed=master_seed) for p in p_values]
     if not plans:
@@ -300,21 +355,14 @@ def estimate_sweep(
     start = time.perf_counter()
     thresholds = np.array([_word_threshold(plan.p) for plan in plans], dtype=np.uint64)
     distinct = np.unique(thresholds)
-    last = len(distinct) - 1
-    level_dtype = np.min_scalar_type(len(distinct))
     quotient = _quotient(T)
 
     def run_block(b: int) -> np.ndarray:
         rows = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
-        words = _block_uniforms(master_seed, b, rows, n)
-        level = np.zeros(words.shape, dtype=level_dtype)
-        for threshold in distinct:
-            level += words >= threshold
-        # The words are freed before the kernel allocates: holding them too
-        # lifts a block's heap peak past the C allocator's trim threshold,
-        # and each block then faults its pages in afresh.
-        del words
-        return np.count_nonzero(_block_verdicts(level, last, quotient), axis=1)
+        # passed unnamed, the words have _block_verdicts as their only holder
+        # (CPython 3.11 and later), so that it can free them
+        verdicts = _block_verdicts(_block_uniforms(master_seed, b, rows, n), distinct, quotient)
+        return np.count_nonzero(verdicts, axis=1)
 
     def run_task(w: int) -> np.ndarray:
         return sum(run_block(b) for b in range(w, n_blocks, workers))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Tournament, VertexSubset, _check_universe, induced
 from .errors import BadParams, EmptyPart, check_integer, check_probability
-from .hamilton import _top_scorers, hamiltonian_on_subset, scc
+from .hamilton import _top_scorers, is_hamiltonian, scc
 
 
 @dataclass(frozen=True, repr=False)
@@ -360,6 +360,13 @@ def bad_events(T: Tournament, P: Partition, S: VertexSubset) -> BadEventFlags:
     A&S reaches no vertex of B&S iff every B&S component comes before
     every A&S component.
     """
+    return _sample_events(T, P, S)[0]
+
+
+def _sample_events(
+    T: Tournament, P: Partition, S: VertexSubset
+) -> tuple[BadEventFlags, Tournament]:
+    """bad_events' flags, and the U = T[S] they were read from."""
     _check_universe(T, P, "partition")
     _check_universe(T, S, "sample")
     side = np.empty(T.n, dtype=np.int8)
@@ -379,7 +386,7 @@ def bad_events(T: Tournament, P: Partition, S: VertexSubset) -> BadEventFlags:
     component = np.array(scc(U).component_of)
     b3 = component[sb].max() < component[sa].min()
     b4 = component[sa].max() < component[sb].min()
-    return BadEventFlags(b1=b1, b2=b2, b3=bool(b3), b4=bool(b4))
+    return BadEventFlags(b1=b1, b2=b2, b3=bool(b3), b4=bool(b4)), U
 
 
 def hamiltonicity_from_no_bad_events(T: Tournament, P: Partition, S: VertexSubset) -> bool:
@@ -389,10 +396,10 @@ def hamiltonicity_from_no_bad_events(T: Tournament, P: Partition, S: VertexSubse
     if some event occurred); False is a counterexample to the claim and
     should never happen.
     """
-    flags = bad_events(T, P, S)
+    flags, U = _sample_events(T, P, S)  # T[S] is built once for both questions
     if flags.any:
         return True
-    return hamiltonian_on_subset(T, S)
+    return len(S) >= 3 and is_hamiltonian(U)
 
 
 def low_indegree_census(T: Tournament, beta: float) -> int:

@@ -70,12 +70,13 @@ def permuted(T: Tournament, seed: int) -> tuple[Tournament, np.ndarray]:
     return Tournament(T.adj[np.ix_(perm, perm)]), perm
 
 
-def substitution(seed: int) -> tuple[Tournament, list[int]]:
-    """Random blocks substituted into a random prime quotient of 3-6 vertices,
-    labels permuted; returns T and each vertex's block."""
+def substitution(seed: int, parts: int | None = None) -> tuple[Tournament, list[int]]:
+    """Random blocks substituted into a random prime quotient of ``parts``
+    vertices (3-6 at random when None), labels permuted; returns T and each
+    vertex's block."""
     rng = np.random.default_rng(seed)
     while True:
-        m = int(rng.integers(3, 7))
+        m = int(rng.integers(3, 7)) if parts is None else parts
         Q = random_tournament(m, int(rng.integers(2**32)))
         if brute_force_partition(Q) == list(range(m)) and strongly_connected_by_bfs(Q):
             break
@@ -150,12 +151,10 @@ class TestModulePartition:
 
 
 def block_levels(T: Tournament, ps: list[float], master_seed: int):
-    """Block 0's words, the sweep's sorted distinct thresholds, and each
-    vertex's level: the number of those thresholds at or below its word."""
+    """Block 0's words and the sweep's sorted distinct thresholds."""
     words = _block_uniforms(master_seed, 0, BLOCK_TRIALS, T.n)
     distinct = np.unique([_word_threshold(p) for p in ps])
-    level = np.searchsorted(distinct, words, side="right").astype(np.uint8)
-    return words, distinct, level
+    return words, distinct
 
 
 REFEREE_PS = [0.02, 0.05, 0.1, 0.2, 0.35, 0.6]
@@ -168,6 +167,10 @@ def referee_inputs() -> dict[str, Tournament]:
                "planted2": planted_blocks(2), "planted5": planted_blocks(5),
                "random30": random_tournament(30, 2), "transitive12": transitive_tournament(12)}
     inputs |= {f"substitution{seed}": substitution(seed)[0] for seed in range(4)}
+    # prime quotients of 12 parts, decided by table lookup, and of 13, by
+    # the kernel; at these seeds some rows inside one part are Hamiltonian
+    inputs |= {f"quotient{parts}": substitution(seed, parts)[0]
+               for seed, parts in ((3, 12), (2, 13))}
     return inputs
 
 
@@ -181,21 +184,42 @@ class TestQuotientVerdicts:
     @pytest.mark.parametrize("name", REFEREE_INPUTS)
     def test_each_row_equals_the_kernel_on_T(self, name):
         T = REFEREE_INPUTS[name]
-        words, distinct, level = block_levels(T, REFEREE_PS, 17)
-        verdicts = _block_verdicts(level, len(distinct) - 1, _quotient(T))
+        words, distinct = block_levels(T, REFEREE_PS, 17)
+        verdicts = _block_verdicts(words, distinct, _quotient(T))
         for j, threshold in enumerate(distinct):
             want = hamiltonian_batch(T, words < threshold)
             assert np.array_equal(verdicts[j], want), (name, j)
+
+    @pytest.mark.parametrize("name, table", [("quotient12", True), ("quotient13", False)])
+    def test_both_paths_see_hamiltonian_rows_inside_one_part(self, name, table):
+        T = REFEREE_INPUTS[name]
+        quotient = _quotient(T)
+        assert (quotient.table is not None) == table
+        labels = _module_partition(T)
+        words, distinct = block_levels(T, REFEREE_PS, 17)
+        hamiltonian_inside = 0
+        for threshold in distinct:
+            rows = words < threshold
+            inside = [len(set(labels[row])) == 1 for row in rows]
+            hamiltonian_inside += np.count_nonzero(hamiltonian_batch(T, rows)[inside])
+        assert hamiltonian_inside and quotient.inner
+
+    def test_table_is_the_kernel_on_every_subset_of_Q(self):
+        T = REFEREE_INPUTS["quotient12"]
+        lowest = np.unique(_module_partition(T), return_index=True)[1]
+        Q = Tournament(T.adj[np.ix_(lowest, lowest)])  # vertex b is part b's lowest vertex
+        subsets = np.arange(1 << Q.n)[:, None] >> np.arange(Q.n) & 1
+        assert np.array_equal(_quotient(T).table, hamiltonian_batch(Q, subsets))
 
     def test_rows_inside_one_block_are_decided_there(self):
         # at p = 0.1 on theorem1-even(3) most nonempty rows lie in one half;
         # their verdicts come from the kernel on that half alone
         T = permuted(extremal_theorem1_even(3), 4)[0]
-        words, distinct, level = block_levels(T, [0.1, 0.3], 3)
+        words, distinct = block_levels(T, [0.1, 0.3], 3)
         labels = _module_partition(T)
         inside = np.array([len(set(labels[row < distinct[0]])) == 1 for row in words])
         assert inside.sum() > BLOCK_TRIALS // 4
-        verdicts = _block_verdicts(level, 1, _quotient(T))
+        verdicts = _block_verdicts(words, distinct, _quotient(T))
         want = hamiltonian_batch(T, words < distinct[0])
         assert want[inside].any()
         assert np.array_equal(verdicts[0], want)

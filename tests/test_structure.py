@@ -12,11 +12,12 @@ from tourneylab import (Partition, Tournament, VertexSubset, bad_events,
                         balanced_cut_search, clean_to_good_partition,
                         default_connector_k, evaluate_goodness, extremal_main,
                         extremal_main_blocks, extremal_theorem1_even,
-                        extremal_theorem1_odd, hamiltonicity_from_no_bad_events,
+                        extremal_theorem1_odd, hamilton, hamiltonian_on_subset,
+                        hamiltonicity_from_no_bad_events, induced,
                         k_connectors, low_indegree_census, max_BA_matching,
                         random_tournament, refine_partition, removal_sets,
                         rotational_tournament, sample_subset, semidegrees,
-                        transitive_tournament)
+                        structure, transitive_tournament)
 from tourneylab.errors import BadParams, EmptyPart
 
 
@@ -542,6 +543,22 @@ class TestClaimImplication:
                 continue
             applicable += 1
         assert applicable >= 150
+
+    def test_all_clear_sample_builds_its_subtournament_once(self, monkeypatch):
+        T = extremal_main(203, 2)
+        P = main_blocks_partition(203, 2)
+        S = sample_subset(203, 0.5, np.random.default_rng(3))
+        assert not bad_events(T, P, S).any and hamiltonian_on_subset(T, S)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return induced(*args)
+
+        for module in (structure, hamilton):
+            monkeypatch.setattr(module, "induced", counting)
+        assert hamiltonicity_from_no_bad_events(T, P, S)
+        assert len(calls) == 1
 
     def test_vacuous_when_flagged(self):
         T = extremal_theorem1_even(10)

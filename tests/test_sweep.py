@@ -85,6 +85,20 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_a_block_holds_its_words_and_few_levels(self):
+        # only each part's lowest word is leveled: a one-block sweep on
+        # main(2003, 2) holds its words and the quotient's two part matrices
+        # (0.24 of the words), and no level per vertex
+        T, ps = extremal_main(2003, 2), [0.3, 0.5, 0.7]
+        estimate_sweep(T, ps, BLOCK_TRIALS, 1, threads=1)  # the first call's one-off allocations
+        tracemalloc.start()
+        try:
+            estimate_sweep(T, ps, BLOCK_TRIALS, 1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * BLOCK_TRIALS * T.n * 8
+
     def test_reports_share_the_sweep_wall_time(self):
         reports = estimate_sweep(random_tournament(12, 1), [0.2, 0.8], 100, 1)
         assert reports[0].wall_time == reports[1].wall_time >= 0
