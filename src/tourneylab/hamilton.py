@@ -5,8 +5,10 @@ A tournament is Hamiltonian iff it is strongly connected and has at least
 purpose:
 
 * ``is_hamiltonian`` — forward+backward bitset BFS from one vertex
-  (``sampling.hamiltonian_subset_size_counts`` runs the same closure for
-  all 2^n vertex subsets at once);
+  (``sampling.hamiltonian_subset_size_counts`` runs the same closure at
+  once on every candidate source component, the strong sets with a
+  common out-neighbour, and ``sampling._strong_masks`` on all 2^n
+  subsets);
 * ``brute_force_hamiltonian`` — Held–Karp dynamic programming over
   (visited-subset, endpoint) states, the trust anchor for small n;
 * ``hamiltonian_batch`` — vectorized score-sequence test (a tournament is

@@ -1,14 +1,18 @@
 """p-biased subset sampling, Monte Carlo estimation with Wilson intervals,
 exact probabilities by subset enumeration, and the closed-form bounds.
 
-The exact route counts the strong subsets of each size for all 2^n
-subsets at once: each subset is an int32 bitset, and its forward and
-backward reachability closures grow from its lowest member by one
-buffered gather and one AND per BFS level from a subset-union table
-(table[m] = the union of the closed out- or in-neighbourhoods of m's
-members, so table[m] contains m; 2^n int32 entries each).
-It reads only adjacency bitsets, never scores, so it shares no code with
-the estimator's score kernel and referees it.
+The exact route counts the strong subsets of each size by source
+components: a non-strong subset is its strong source component C plus a
+nonempty set of the vertices all of C beats, so only the strong C with
+a common out-neighbour are enumerated, as int32 bitsets inside each
+in-neighbourhood (see hamiltonian_subset_size_counts). A candidate's
+forward and backward reachability closures grow from its lowest member
+by one buffered gather and one AND per BFS level from a subset-union
+table (table[m] = the union of the closed out- or in-neighbourhoods of
+m's members, so table[m] contains m; 2^n int32 entries each).
+_strong_masks runs the same closures on all 2^n subsets and referees the
+count. The exact route reads only adjacency bitsets, never scores, so it
+shares no code with the estimator's score kernel and referees it.
 
 Reproducibility contract: trial i of an estimate draws its inclusion
 vector from a Philox stream keyed by (master_seed, i // BLOCK_TRIALS) at
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import Tournament, VertexSubset, rows_to_masks
+from .core import Tournament, VertexSubset, complement_rows, iter_bits, rows_to_masks
 from .errors import BadParams, check_integer, check_order, check_probability, check_real
 from .hamilton import _landau_strong, _module_partition, _shifted_adjacency
 
@@ -389,8 +393,10 @@ def _union_table(rows: list[int]) -> np.ndarray:
 
     Built in n slice steps: the masks in [2^v, 2^(v+1)) are the masks below
     2^v with v added, so each half-table is the one before it OR rows[v].
-    _strong_masks passes closed neighbourhoods (rows[v] includes v), so its
-    tables hold table[m] ⊇ m.
+    Over closed neighbourhoods (rows[v] includes v), as the exact route
+    passes them, table[m] ⊇ m. Over single bits (rows[i] = 1 << v_i) it
+    lists every subset of {v_i}, in full-universe bits, which is how
+    _nonempty_subsets enumerates the candidate source components.
     """
     table = np.zeros(1 << len(rows), dtype=np.int32)
     for v, row in enumerate(rows):
@@ -441,19 +447,85 @@ def _strong_masks(T: Tournament) -> Iterator[np.ndarray]:
         yield masks[_closure(in_table, masks) == masks]
 
 
-def hamiltonian_subset_size_counts(T: Tournament) -> np.ndarray:
-    """counts[s] = number of s-element subsets S with T[S] Hamiltonian.
+def _nonempty_subsets(row: int) -> Iterator[np.ndarray]:
+    """The nonempty subsets of the bitset ``row`` as int32 masks, in slices
+    of at most CLOSURE_CHUNK: each slice unites one subset of row's high
+    members with every subset of its log2(CLOSURE_CHUNK) lowest ones."""
+    bits = [1 << v for v in iter_bits(row)]
+    split = CLOSURE_CHUNK.bit_length() - 1
+    low = _union_table(bits[:split])
+    yield low[1:]
+    for high in _union_table(bits[split:])[1:]:
+        yield low | high
 
-    Decides strong connectivity for all 2^n subsets at once (see
-    _strong_masks): a subset's closure grows by one gather per BFS level
-    from a table of the closed out- (or in-) neighbourhood unions of all
-    2^n vertex sets. The closure uses adjacency bitsets only, no scores, so
-    this path is disjoint from the estimator's score kernel and doubles as
-    the independent oracle for the Monte Carlo route. Requires n <= 20.
+
+def _batches(slices: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The arrays of ``slices``, each at most ``size`` long, joined in
+    order into batches of at most ``size`` entries."""
+    held: list[np.ndarray] = []
+    count = 0
+    for part in slices:
+        if count + len(part) > size:
+            yield np.concatenate(held)
+            held, count = [], 0
+        held.append(part)
+        count += len(part)
+    if held:
+        yield np.concatenate(held)
+
+
+def hamiltonian_subset_size_counts(T: Tournament) -> np.ndarray:
+    """counts[s] = number of s-element subsets S with T[S] Hamiltonian
+    (n <= 20), counted by source components.
+
+    T[S] is Hamiltonian iff |S| >= 3 and T[S] is strong. A non-strong S has
+    one source component C, a single vertex or a strong set of 3 or more,
+    and S - C is a nonempty subset X of D(C), the vertices all of C beats;
+    every such pair (C, X) gives one S. So the non-strong s-sets number the
+    sum of binom(|D(C)|, s - |C|) over the strong C with D(C) nonempty
+    (Moon's recurrence for strong tournaments, over the subsets of one
+    tournament). Such a C lies in N-(w) for w = min D(C), so the
+    candidates are the nonempty subsets of each in-neighbourhood N-(w),
+    kept when no vertex below w is in D(C) = V - in_table[C]: sum_w
+    2^in(w) sets in place of 2^n. A kept C is strong iff its forward and
+    backward closures (see _closure) are all of C, as in _strong_masks (a
+    single vertex passes, a 2-set fails); they run on at most
+    CLOSURE_CHUNK candidates at a time. When sum_v 2^out(v) is the
+    smaller, the out- and in-rows swap and the count runs over sink
+    components, since T[S] is strong iff its reverse is. Only adjacency
+    bitsets are read, no scores, so this path is disjoint from the
+    estimator's score kernel and referees it.
     """
-    counts = np.zeros(T.n + 1, dtype=np.int64)
-    for masks in _strong_masks(T):
-        counts += np.bincount(np.bitwise_count(masks), minlength=T.n + 1)
+    n = T.n
+    check_order(n, EXACT_MAX_N)
+    full = (1 << n) - 1
+    succ = rows_to_masks(T.adj)
+    pred = complement_rows(succ)
+    if sum(1 << row.bit_count() for row in succ) < sum(1 << row.bit_count() for row in pred):
+        succ, pred = pred, succ
+    # closed neighbourhoods, as in _strong_masks
+    out_table = _union_table([row | 1 << v for v, row in enumerate(succ)])
+    in_table = _union_table([row | 1 << v for v, row in enumerate(pred)])
+
+    def candidates() -> Iterator[np.ndarray]:
+        for w, row in enumerate(pred):
+            for C in _nonempty_subsets(row):
+                D = full ^ in_table[C]  # w is in D(C), since C is in N-(w)
+                yield C[(D & (1 << w) - 1) == 0]
+
+    # pairs[|C|, |D(C)|] over the strong C, flattened
+    pairs = np.zeros((n + 1) ** 2, dtype=np.int64)
+    for C in _batches(candidates(), CLOSURE_CHUNK):
+        C = C[_closure(out_table, C) == C]
+        C = C[_closure(in_table, C) == C]
+        key = np.bitwise_count(C) * np.intp(n + 1) + np.bitwise_count(full ^ in_table[C])
+        pairs += np.bincount(key, minlength=len(pairs))
+    binom = np.array([[math.comb(d, k) for k in range(n + 1)] for d in range(n + 1)])
+    grown = pairs.reshape(n + 1, n + 1) @ binom  # grown[c, k]: sets C + X with |X| = k
+    counts = binom[n].copy()
+    for c in range(1, n):
+        counts[c + 1:] -= grown[c, 1:n + 1 - c]
+    counts[:3] = 0
     return counts
 
 

@@ -279,6 +279,18 @@ class TestExact:
         payload = json.loads(capsys.readouterr().out)
         assert [r["probability"] for r in payload["rows"]] == pytest.approx([0.125, 0.015625])
 
+    @pytest.mark.parametrize("text, probabilities", [
+        ("TRN1 1\n0\n", [0.0, 0.0]),
+        ("TRN1 2\n01\n00\n", [0.0, 0.0]),
+        ("TRN1 3\n011\n001\n000\n", [0.0, 0.0]),
+        (TRIANGLE_TRN1, [0.3**3, 0.5**3]),
+    ], ids=["n1", "n2", "transitive3", "cyclic3"])
+    def test_below_four_vertices(self, tmp_path, capsys, text, probabilities):
+        trn = write(tmp_path / "small.trn", text)
+        assert main(["exact", "--file", trn, "--p", "0.3", "--p", "0.5"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["probability"] for r in payload["rows"]] == pytest.approx(probabilities)
+
     def test_too_large(self, tmp_path):
         out = tmp_path / "big.trn"
         main(["gen", "transitive", "--n", "25", "--out", str(out)])

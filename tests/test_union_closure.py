@@ -1,13 +1,18 @@
-"""The exact route's subset-union table and closure, pinned to the counts
+"""The exact route's subset-union table and closure, its source-component
+count refereed by the 2^n closure route, and the counts pinned to those
 the Gauss–Seidel sweep closure gave on the same inputs."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import brute_force_size_counts
+from conftest import brute_force_size_counts, planted_blocks
 from conftest import path_tournament as long_path
 
-from tourneylab import (VertexSubset, extremal_main, induced, is_hamiltonian,
-                        random_tournament)
+from tourneylab import (Tournament, VertexSubset, extremal_main,
+                        extremal_theorem1_even, extremal_theorem1_odd, induced,
+                        is_hamiltonian, near_regular_tournament,
+                        random_tournament, transitive_tournament)
 from tourneylab.core import rows_to_masks
 from tourneylab.hamilton import reach_on_mask
 from tourneylab.sampling import (_closure, _strong_masks, _union_table,
@@ -96,3 +101,67 @@ class TestPinnedCounts:
         counts = hamiltonian_subset_size_counts(T)
         assert counts.tolist() == brute_force_size_counts(T).tolist()
         assert counts[3:].tolist() == list(range(n - 2, 0, -1))
+
+
+def _planted(seed: int, n: int) -> Tournament:
+    planted = planted_blocks(seed)  # its labels are permuted: take any n
+    return induced(planted, VertexSubset(planted.n, range(n)))
+
+
+REFEREE_CASES = {
+    **{f"random{n}-{seed}": (lambda n=n, seed=seed: random_tournament(n, seed))
+       for n in range(1, 21) for seed in (1, 2, 3)},
+    **{f"main{n}-{t}": (lambda n=n, t=t: extremal_main(n, t))
+       for n, t in ((7, 1), (12, 2), (17, 1), (19, 4), (20, 3))},
+    **{f"theorem1-even{k}": (lambda k=k: extremal_theorem1_even(k)) for k in range(1, 5)},
+    **{f"theorem1-odd{k}": (lambda k=k: extremal_theorem1_odd(k)) for k in range(1, 5)},
+    **{f"transitive{n}": (lambda n=n: transitive_tournament(n)) for n in (1, 2, 3, 7, 12, 20)},
+    **{f"long-path{n}": (lambda n=n: long_path(n)) for n in (3, 10, 20)},
+    **{f"near-regular{m}": (lambda m=m: near_regular_tournament(m)) for m in (5, 8, 13, 18, 20)},
+    **{f"planted{seed}-{n}": (lambda seed=seed, n=n: _planted(seed, n))
+       for seed, n in ((1, 12), (2, 17), (3, 20), (4, 20))},
+}
+
+
+def _variants(T: Tournament) -> list[Tournament]:
+    """T as built, with its labels permuted, and reversed."""
+    perm = np.random.default_rng(T.n).permutation(T.n)
+    return [T, Tournament(T.adj[np.ix_(perm, perm)]), Tournament(T.adj.T)]
+
+
+def _sink_form(T: Tournament) -> bool:
+    """Whether the count runs over sink components: sum_v 2^out(v) is the
+    smaller candidate total."""
+    out = T.out_degrees()
+    return int((2 ** out).sum()) < int((2 ** (T.n - 1 - out)).sum())
+
+
+class TestSourceComponents:
+    @pytest.mark.parametrize("name", REFEREE_CASES)
+    def test_counts_equal_the_all_subsets_route(self, name):
+        for T in _variants(REFEREE_CASES[name]()):
+            strong = np.concatenate(list(_strong_masks(T)))
+            expected = np.bincount(np.bitwise_count(strong), minlength=T.n + 1)
+            assert hamiltonian_subset_size_counts(T).tolist() == expected.tolist()
+
+    def test_cases_run_both_forms(self):
+        # as built, permuted and reversed, some cases count source components
+        # and some sink components
+        forms = [[_sink_form(T) for T in _variants(build())] for build in REFEREE_CASES.values()]
+        for variant in zip(*forms):
+            assert set(variant) == {False, True}
+
+    @pytest.mark.parametrize("build", [lambda: transitive_tournament(20),
+                                       lambda: random_tournament(20, 5),
+                                       lambda: extremal_main(20, 3)],
+                             ids=["transitive20", "random20-5", "main20-3"])
+    def test_memory_at_the_cap(self, build):
+        # the two 4 MB union tables, and candidates CLOSURE_CHUNK at a time
+        T = build()
+        tracemalloc.start()
+        try:
+            hamiltonian_subset_size_counts(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_000_000
